@@ -1,4 +1,4 @@
-//! Emits `BENCH_milp.json` at the repo root: wall-time and work counters
+//! Emits `BENCH_milp.json` in the working directory: wall-time and work counters
 //! of the overhauled offline-optimum solver (sparse warm-started simplex,
 //! wave-parallel branch-and-bound, MILP presolve) against the retained
 //! seed-state dense reference engine, on Fig. 12-scale instances.
@@ -338,7 +338,7 @@ fn main() {
         speedup_p50,
         work_json(&total)
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_milp.json");
+    let path = "BENCH_milp.json";
     std::fs::write(path, &body).expect("write BENCH_milp.json");
     println!("wrote {path}");
 }

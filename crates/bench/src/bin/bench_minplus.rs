@@ -1,4 +1,4 @@
-//! Emits `BENCH_minplus.json` at the repo root: raw throughput of the
+//! Emits `BENCH_minplus.json` in the working directory: raw throughput of the
 //! min-plus row primitive ([`kernel::apply_candidate`]) alone, scalar vs
 //! SIMD, across row widths chosen to cover full-lane rows, sub-lane rows,
 //! and non-lane-multiple tails.
@@ -6,14 +6,12 @@
 //! The scheduler-level figure (`bench_sched`) measures the kernel buried
 //! under grid builds, pruning, and pricing; this bin isolates the inner
 //! loop so a kernel regression cannot hide behind the rest of the
-//! pipeline. Each width also runs through the criterion shim for a
-//! human-readable latency line.
+//! pipeline.
 //!
 //! Build with `--features simd` on nightly to bench the vector path; on
 //! stable the SIMD column reports the scalar fallback (and says so via
 //! the `kernel` field).
 
-use criterion::Criterion;
 use pdftsp_core::kernel::{self, KernelKind};
 use pdftsp_core::KernelChoice;
 use rand::rngs::StdRng;
@@ -111,7 +109,6 @@ fn throughput(case: &mut RowCase, kind: KernelKind) -> f64 {
 fn main() {
     let simd = KernelChoice::Simd.resolve().kind;
     let mut rng = StdRng::seed_from_u64(0xBE7C);
-    let mut crit = Criterion::default();
     let mut rows = Vec::new();
     for &width in WIDTHS {
         let mut case = RowCase::new(width, &mut rng);
@@ -129,12 +126,6 @@ fn main() {
             "width {width:>4}: scalar {scalar_cps:>12.0} cells/s | {} {simd_cps:>12.0} cells/s | {speedup:.2}x",
             simd.name()
         );
-        crit.bench_function(&format!("minplus_row_w{width}_scalar"), |b| {
-            b.iter(|| case.run(KernelKind::Scalar));
-        });
-        crit.bench_function(&format!("minplus_row_w{width}_{}", simd.name()), |b| {
-            b.iter(|| case.run(simd));
-        });
         rows.push(format!(
             concat!(
                 "    {{\"width\": {}, \"stride\": {}, \"candidates\": {}, ",
@@ -171,7 +162,7 @@ fn main() {
         kernel::LANES,
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_minplus.json");
+    let path = "BENCH_minplus.json";
     std::fs::write(path, &body).expect("write BENCH_minplus.json");
     println!("wrote {path}");
 }

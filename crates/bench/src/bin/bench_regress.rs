@@ -10,11 +10,9 @@
 //!   below baseline, span-path overhead (`overhead_frac`) growing
 //!   beyond `baseline × 1.25 + 0.02`, and pool dispatch overhead
 //!   (`pool_ns_per_task`) growing beyond `baseline × 1.25 + 300 ns`;
-//! * **warn** — absolute throughput (`sustained_decisions_per_s`,
-//!   `pipelined_decisions_per_s`, `pipeline_speedup`) and determinism
-//!   digests (`welfare_bits` / `ledger_digest` /
-//!   `decision_fingerprint`), which are host- and thread-count-shaped
-//!   (a single-core runner cannot show any pipeline speedup at all).
+//! * **warn** — absolute throughput (`sustained_decisions_per_s`) and
+//!   determinism digests (`welfare_bits` / `ledger_digest` /
+//!   `decision_fingerprint`), which are host- and thread-count-shaped.
 //!   Setting `PDFTSP_BENCH_STRICT=1` promotes warnings to failures.
 //!
 //! The parser is a dependency-free key scanner: for every occurrence of
@@ -189,19 +187,14 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
             "{file}: run shape differs from baseline — skipping digest comparison"
         ));
     }
-    for key in [
-        "sustained_decisions_per_s",
-        "pipelined_decisions_per_s",
-        "pipeline_speedup",
-    ] {
-        gate.check_drop(
-            file,
-            key,
-            &numbers_for(base, key),
-            &numbers_for(fresh, key),
-            false,
-        );
-    }
+    let key = "sustained_decisions_per_s";
+    gate.check_drop(
+        file,
+        key,
+        &numbers_for(base, key),
+        &numbers_for(fresh, key),
+        false,
+    );
     // Pool dispatch overhead: smaller is better, relative + absolute
     // slack (same shape as the span-overhead gate, in nanoseconds).
     let b = numbers_for(base, "pool_ns_per_task");
@@ -226,7 +219,7 @@ fn check_service(gate: &mut Gate, base: &str, fresh: &str) {
 fn check_spot(gate: &mut Gate, base: &str, fresh: &str) {
     let file = "BENCH_spot.json";
     // The fresh determinism block must be *internally* identical: every
-    // {workers} × {pipeline} row carries the same welfare bits, refund
+    // worker-count row carries the same welfare bits, refund
     // bits, ledger digest, and decision fingerprint. The emitter asserts
     // this too; re-checking here catches a hand-edited artifact.
     for key in [
@@ -239,7 +232,7 @@ fn check_spot(gate: &mut Gate, base: &str, fresh: &str) {
         gate.checks += 1;
         if rows.windows(2).any(|w| w[0] != w[1]) {
             gate.fail(format!(
-                "{file}: determinism `{key}` differs across worker/pipeline rows: {rows:?}"
+                "{file}: determinism `{key}` differs across worker rows: {rows:?}"
             ));
         }
     }
@@ -393,13 +386,11 @@ mod tests {
         assert_eq!(gate.failures.len(), 1);
     }
 
-    fn service_doc(piped: f64, pool_ns: f64) -> String {
+    fn service_doc(sustained: f64, pool_ns: f64) -> String {
         format!(
             r#"{{
   "config": {{"shards": 2, "configured_threads": 1, "epoch_slots": 8}},
-  "rates": [{{"sustained_decisions_per_s": 140000.0,
-              "pipelined_decisions_per_s": {piped},
-              "pipeline_speedup": 1.0}}],
+  "rates": [{{"sustained_decisions_per_s": {sustained}}}],
   "determinism": [{{"welfare_bits": "40ce7a80a2a14858",
                     "ledger_digest": "11", "decision_fingerprint": "22"}}],
   "spawn_overhead": {{"pool_ns_per_task": {pool_ns}}}
@@ -439,7 +430,7 @@ mod tests {
         check_spot(&mut gate, &base, &spot_doc(500.0, "11", "11"));
         assert!(gate.failures.is_empty(), "{:?}", gate.failures);
         assert!(gate.warnings.is_empty(), "{:?}", gate.warnings);
-        // Worker/pipeline rows disagreeing is a hard failure.
+        // Worker rows disagreeing is a hard failure.
         check_spot(&mut gate, &base, &spot_doc(500.0, "11", "22"));
         assert_eq!(gate.failures.len(), 1, "{:?}", gate.failures);
         // Welfare digest drift against the baseline is warn-only.
@@ -469,7 +460,7 @@ mod tests {
         // Past budget: hard failure.
         check_service(&mut gate, &base, &service_doc(100_000.0, 1200.0));
         assert_eq!(gate.failures.len(), 1);
-        // Pipelined throughput collapse is warn-only (host-shaped).
+        // Throughput collapse is warn-only (host-shaped).
         let mut gate = Gate {
             failures: Vec::new(),
             warnings: Vec::new(),

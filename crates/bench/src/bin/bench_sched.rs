@@ -1,4 +1,4 @@
-//! Emits `BENCH_sched.json` at the repo root: decide-latency percentiles
+//! Emits `BENCH_sched.json` in the working directory: decide-latency percentiles
 //! and DP-cell throughput of the optimized evaluation pipeline against the
 //! straight-line reference, on the warm Fig.-13 cluster in a single-vendor
 //! and a vendor-rich market.
@@ -13,9 +13,7 @@
 //! own wall-clock: the optimized pipeline's higher cells/s is exactly its
 //! decision-for-decision speedup, not a different workload.
 
-use pdftsp_cluster::{
-    configured_threads, effective_workers, hardware_threads, set_thread_override,
-};
+use pdftsp_cluster::{configured_threads, hardware_threads};
 use pdftsp_core::{kernel, KernelChoice, Pdftsp, PdftspConfig};
 use pdftsp_sim::run_scheduler;
 use pdftsp_telemetry::{SpanLog, Telemetry};
@@ -99,8 +97,6 @@ struct WorkStats {
     fallback_dispatches: u64,
     /// The row kernel the scheduler actually dispatched.
     kernel: &'static str,
-    /// Worker threads the scheduler cached at construction.
-    threads: usize,
 }
 
 impl WorkStats {
@@ -119,7 +115,6 @@ impl WorkStats {
             scalar_tail_rows: c.read(&c.scalar_tail_rows),
             fallback_dispatches: c.read(&c.fallback_dispatches),
             kernel: s.kernel().kind.name(),
-            threads: s.workers(),
         }
     }
 }
@@ -172,7 +167,7 @@ fn stats_json(s: &PipelineStats, cells: u64) -> String {
             "\"vendors_pruned\": {}, \"vendors_memoized\": {}, ",
             "\"dp_runs\": {}, \"dp_cells_measured\": {}, ",
             "\"dp_early_exits\": {}, \"grid_builds\": {}, ",
-            "\"kernel\": \"{}\", \"threads\": {}, \"simd_rows\": {}, ",
+            "\"kernel\": \"{}\", \"simd_rows\": {}, ",
             "\"scalar_tail_rows\": {}, \"fallback_dispatches\": {}}}"
         ),
         s.p50_us,
@@ -190,7 +185,6 @@ fn stats_json(s: &PipelineStats, cells: u64) -> String {
         w.dp_early_exits,
         w.grid_builds,
         w.kernel,
-        w.threads,
         w.simd_rows,
         w.scalar_tail_rows,
         w.fallback_dispatches
@@ -242,40 +236,6 @@ fn market_json(name: &str, sc: &Scenario) -> String {
     )
 }
 
-/// Vendor-scaling sweep: rerun the multi-vendor market with the worker
-/// count forced to each value, proving the un-gated parallel branch both
-/// engages and stays decision-deterministic (order-preserving merge).
-fn vendor_scaling_json(sc: &Scenario) -> String {
-    let mut rows = Vec::new();
-    let mut welfare_bits: Option<u64> = None;
-    for threads in [1usize, 2, 4] {
-        set_thread_override(Some(threads));
-        let s = run_pipeline(sc, PdftspConfig::default());
-        set_thread_override(None);
-        assert_eq!(s.work.threads, threads, "override not honoured");
-        match welfare_bits {
-            None => welfare_bits = Some(s.welfare.to_bits()),
-            Some(bits) => assert_eq!(
-                bits,
-                s.welfare.to_bits(),
-                "vendor scaling changed decisions at {threads} threads"
-            ),
-        }
-        println!(
-            "vendor_scaling threads {threads}: mean {:.1} µs p50 {:.1} µs",
-            s.mean_us, s.p50_us
-        );
-        rows.push(format!(
-            concat!(
-                "      {{\"threads\": {}, \"mean_us\": {:.3}, \"p50_us\": {:.3}, ",
-                "\"p99_us\": {:.3}, \"total_s\": {:.6}}}"
-            ),
-            threads, s.mean_us, s.p50_us, s.p99_us, s.total_s
-        ));
-    }
-    rows.join(",\n")
-}
-
 /// Measured cost of turning the span path ON: the multi-vendor day with
 /// disabled telemetry vs with a live [`SpanLog`] sink capturing one
 /// propose span per decision. The disabled side of this comparison is
@@ -323,7 +283,6 @@ fn main() {
     // this run (`PDFTSP_THREADS` override included) — no bench gating.
     let hw_threads = hardware_threads();
     let threads = configured_threads();
-    let vendor_threads = effective_workers(MULTI_VENDORS);
     let dispatch = PdftspConfig::default().kernel.resolve();
     let body = format!(
         concat!(
@@ -333,7 +292,6 @@ fn main() {
             "  \"reps\": {},\n",
             "  \"hardware_threads\": {},\n",
             "  \"configured_threads\": {},\n",
-            "  \"parallel_vendor_threads\": {},\n",
             "  \"kernel\": \"{}\",\n",
             "  \"simd_compiled\": {},\n",
             "  \"simd_isa\": \"{}\",\n",
@@ -341,11 +299,6 @@ fn main() {
             "  \"markets\": {{\n",
             "{},\n",
             "{}\n",
-            "  }},\n",
-            "  \"vendor_scaling\": {{\n",
-            "    \"multi_vendor\": [\n",
-            "{}\n",
-            "    ]\n",
             "  }},\n",
             "  \"span_overhead\": {{\n",
             "{}\n",
@@ -355,16 +308,14 @@ fn main() {
         REPS,
         hw_threads,
         threads,
-        vendor_threads,
         dispatch.kind.name(),
         kernel::simd_compiled(),
         kernel::simd_isa(),
         market_json("single_vendor", &single),
         market_json("multi_vendor", &multi),
-        vendor_scaling_json(&multi),
         span_overhead_json(&multi)
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
+    let path = "BENCH_sched.json";
     std::fs::write(path, &body).expect("write BENCH_sched.json");
     println!("wrote {path}");
 }

@@ -1,6 +1,6 @@
-//! Emits `BENCH_service.json` at the repo root: sustained decision
-//! throughput and admission-latency percentiles of the sharded auction
-//! service under open-loop load, with fault injection enabled.
+//! Emits `BENCH_service.json` in the working directory: sustained
+//! decision throughput and admission-latency percentiles of the sharded
+//! auction service under open-loop load, with fault injection enabled.
 //!
 //! Methodology (see EXPERIMENTS.md "Sharded service benchmark"): an
 //! open-loop generator offers the whole scenario at a fixed arrival rate
@@ -11,16 +11,11 @@
 //! of the whole run, pacing included. The same fault plan (crashes,
 //! outages, degradations) runs through the service path at every rate.
 //!
-//! Every rate row also runs the **pipelined** service (epoch *e+1*
-//! phase-1 proposals overlapping epoch-*e* phase-2 commits on the
-//! persistent worker pool) and asserts its decision fingerprint matches
-//! the serial run exactly — the speedup must be free of behavior drift.
-//!
-//! A determinism block then re-runs the service unpaced across the
-//! {1, 2, 4 workers} × {pipeline off, on} grid and asserts bit-identical
-//! welfare, ledger digests, a per-decision fingerprint, and the span
-//! stream's rendered bytes — the service's "any worker count replays the
-//! single-thread schedule" contract, with faults enabled.
+//! A determinism block then re-runs the service unpaced at 1, 2 and 4
+//! workers and asserts bit-identical welfare, ledger digests, a
+//! per-decision fingerprint, and the span stream's rendered bytes — the
+//! service's "any worker count replays the single-thread schedule"
+//! contract, with faults enabled.
 //!
 //! A `spawn_overhead` microbench compares the historical per-batch
 //! scoped-spawn dispatch (fresh OS threads every `parallel_map`) against
@@ -127,7 +122,7 @@ fn best_of(sc: &Scenario, plan: &FaultPlan, cfg: ServiceConfig, reps: usize) -> 
     best.expect("reps >= 1")
 }
 
-/// One paced rate point, serial and pipelined; returns the JSON row.
+/// One paced rate point; returns the JSON row.
 fn rate_json(sc: &Scenario, plan: &FaultPlan, shards: usize, rate: f64, reps: usize) -> String {
     let cfg = ServiceConfig {
         shards,
@@ -136,33 +131,14 @@ fn rate_json(sc: &Scenario, plan: &FaultPlan, shards: usize, rate: f64, reps: us
         ..ServiceConfig::default()
     };
     let out = best_of(sc, plan, cfg, reps);
-    let piped = best_of(
-        sc,
-        plan,
-        ServiceConfig {
-            pipeline: true,
-            ..cfg
-        },
-        reps,
-    );
-    assert_eq!(
-        decision_fingerprint(&out),
-        decision_fingerprint(&piped),
-        "pipelined run diverged from serial at rate {rate}"
-    );
-    assert_eq!(out.ledger_digest, piped.ledger_digest);
-    let speedup = piped.decisions_per_second() / out.decisions_per_second().max(1e-12);
     let mut lat: Vec<f64> = out.admission_seconds.clone();
     lat.sort_by(f64::total_cmp);
     let p50_ms = percentile(&lat, 0.50) * 1e3;
     let p99_ms = percentile(&lat, 0.99) * 1e3;
     println!(
-        "rate {:>9.0}/s: {:>8.0} decisions/s serial, {:>8.0}/s pipelined ({:.2}x, {} epochs overlapped), admission p50 {:.3} ms p99 {:.3} ms ({} workers)",
+        "rate {:>9.0}/s: {:>8.0} decisions/s, admission p50 {:.3} ms p99 {:.3} ms ({} workers)",
         rate,
         out.decisions_per_second(),
-        piped.decisions_per_second(),
-        speedup,
-        piped.epochs_overlapped,
         p50_ms,
         p99_ms,
         out.effective_workers
@@ -171,8 +147,6 @@ fn rate_json(sc: &Scenario, plan: &FaultPlan, shards: usize, rate: f64, reps: us
         concat!(
             "    {{\"offered_rate_per_s\": {:.0}, \"decisions\": {}, ",
             "\"sustained_decisions_per_s\": {:.1}, \"wall_s\": {:.6}, ",
-            "\"pipelined_decisions_per_s\": {:.1}, \"pipelined_wall_s\": {:.6}, ",
-            "\"pipeline_speedup\": {:.4}, \"epochs_overlapped\": {}, ",
             "\"admission_p50_ms\": {:.4}, \"admission_p99_ms\": {:.4}, ",
             "\"admission_max_ms\": {:.4}, \"admitted\": {}, \"aborted\": {}, ",
             "\"disrupted\": {}, \"recovered\": {}, \"epochs\": {}, ",
@@ -182,10 +156,6 @@ fn rate_json(sc: &Scenario, plan: &FaultPlan, shards: usize, rate: f64, reps: us
         out.decisions.len(),
         out.decisions_per_second(),
         out.wall_seconds,
-        piped.decisions_per_second(),
-        piped.wall_seconds,
-        speedup,
-        piped.epochs_overlapped,
         p50_ms,
         p99_ms,
         percentile(&lat, 1.0) * 1e3,
@@ -198,56 +168,49 @@ fn rate_json(sc: &Scenario, plan: &FaultPlan, shards: usize, rate: f64, reps: us
     )
 }
 
-/// Unpaced determinism sweep: the same faulted scenario across the
-/// {1, 2, 4 workers} × {pipeline off, on} grid must produce
-/// bit-identical economics, ledgers, decisions, and span streams.
+/// Unpaced determinism sweep: the same faulted scenario at 1, 2 and 4
+/// workers must produce bit-identical economics, ledgers, decisions,
+/// and span streams.
 fn determinism_json(sc: &Scenario, plan: &FaultPlan, shards: usize) -> String {
     let mut baseline: Option<(u64, u64, u64, u64)> = None;
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4] {
-        for pipeline in [false, true] {
-            let cfg = ServiceConfig {
-                shards,
-                epoch_slots: 4,
-                pipeline,
-                ..ServiceConfig::default()
-            };
-            set_thread_override(Some(threads));
-            let out =
-                AuctionService::with_observability(sc, cfg, plan, Observability::with_spans())
-                    .and_then(AuctionService::finish)
-                    .expect("service run");
-            set_thread_override(None);
-            let key = (
-                out.welfare.social_welfare.to_bits(),
-                out.ledger_digest,
-                decision_fingerprint(&out),
-                fnv1a(chrome::render_trace(&out.spans).as_bytes()),
-            );
-            match baseline {
-                None => baseline = Some(key),
-                Some(expected) => assert_eq!(
-                    expected, key,
-                    "service diverged at {threads} workers, pipeline {pipeline} \
-                     (welfare bits / ledger digest / decisions / span stream)"
-                ),
-            }
-            println!(
-                "determinism {threads} workers, pipeline {}: welfare {:.2}, ledger digest {:016x}, span stream {:016x} — identical",
-                if pipeline { "on " } else { "off" },
-                out.welfare.social_welfare,
-                out.ledger_digest,
-                key.3
-            );
-            rows.push(format!(
-                concat!(
-                    "    {{\"workers\": {}, \"pipeline\": {}, \"effective_workers\": {}, ",
-                    "\"welfare_bits\": \"{:016x}\", \"ledger_digest\": \"{:016x}\", ",
-                    "\"decision_fingerprint\": \"{:016x}\", \"span_stream_fnv\": \"{:016x}\"}}"
-                ),
-                threads, pipeline, out.effective_workers, key.0, key.1, key.2, key.3
-            ));
+        let cfg = ServiceConfig {
+            shards,
+            epoch_slots: 4,
+            ..ServiceConfig::default()
+        };
+        set_thread_override(Some(threads));
+        let out = AuctionService::with_observability(sc, cfg, plan, Observability::with_spans())
+            .and_then(AuctionService::finish)
+            .expect("service run");
+        set_thread_override(None);
+        let key = (
+            out.welfare.social_welfare.to_bits(),
+            out.ledger_digest,
+            decision_fingerprint(&out),
+            fnv1a(chrome::render_trace(&out.spans).as_bytes()),
+        );
+        match baseline {
+            None => baseline = Some(key),
+            Some(expected) => assert_eq!(
+                expected, key,
+                "service diverged at {threads} workers \
+                 (welfare bits / ledger digest / decisions / span stream)"
+            ),
         }
+        println!(
+            "determinism {threads} workers: welfare {:.2}, ledger digest {:016x}, span stream {:016x} — identical",
+            out.welfare.social_welfare, out.ledger_digest, key.3
+        );
+        rows.push(format!(
+            concat!(
+                "    {{\"workers\": {}, \"effective_workers\": {}, ",
+                "\"welfare_bits\": \"{:016x}\", \"ledger_digest\": \"{:016x}\", ",
+                "\"decision_fingerprint\": \"{:016x}\", \"span_stream_fnv\": \"{:016x}\"}}"
+            ),
+            threads, out.effective_workers, key.0, key.1, key.2, key.3
+        ));
     }
     rows.join(",\n")
 }
@@ -354,7 +317,7 @@ fn main() {
             "{}\n",
             "  ],\n",
             "  \"spawn_overhead\": {},\n",
-            "  \"pool\": {{\"workers\": {}, \"pool_tasks\": {}, \"pool_batches\": {}, \"pool_jobs\": {}, \"pool_park_ns\": {}}}\n",
+            "  \"pool\": {{\"workers\": {}, \"pool_tasks\": {}, \"pool_batches\": {}, \"pool_park_ns\": {}}}\n",
             "}}\n"
         ),
         smoke,
@@ -376,16 +339,13 @@ fn main() {
         pool.workers,
         pool.tasks,
         pool.batches,
-        pool.jobs,
         pool.park_ns
     );
     if smoke {
-        println!(
-            "smoke ok: determinism held across 1/2/4 workers x pipeline on/off; artifact not rewritten"
-        );
+        println!("smoke ok: determinism held across 1/2/4 workers; artifact not rewritten");
         return;
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
+    let path = "BENCH_service.json";
     std::fs::write(path, &body).expect("write BENCH_service.json");
     println!("wrote {path}");
 }

@@ -1,4 +1,4 @@
-//! Emits `BENCH_spot.json` at the repo root: the spot-market comparison
+//! Emits `BENCH_spot.json` in the working directory: the spot-market comparison
 //! of pdFTSP against the deadline-aware-with-predictions baseline under
 //! time-varying spot prices, budget-capped bidders, and revocable
 //! leases.
@@ -21,11 +21,10 @@
 //! deadline-miss rate for each system.
 //!
 //! A determinism block then drives the same spot scenario + lease-derived
-//! fault plan through the sharded [`AuctionService`] across the
-//! {1, 2, 4 workers} × {pipeline off, on} grid and asserts bit-identical
-//! welfare, ledger digests, decision fingerprints, and refund totals —
-//! revocations under sharding + pipelining must replay the
-//! single-thread schedule exactly.
+//! fault plan through the sharded [`AuctionService`] at 1, 2 and 4
+//! workers and asserts bit-identical welfare, ledger digests, decision
+//! fingerprints, and refund totals — revocations under sharding must
+//! replay the single-thread schedule exactly.
 //!
 //! `--smoke` shrinks the scenario for CI, still runs the comparison and
 //! the full determinism sweep, and leaves the committed full-run
@@ -152,9 +151,8 @@ fn comparison_json(smoke: bool, seed: u64, spec: &SpotSpec) -> String {
 }
 
 /// Revocation determinism sweep: the spot-transformed scenario with its
-/// lease-derived fault plan through the sharded service across the
-/// {1, 2, 4 workers} × {pipeline off, on} grid — everything must be
-/// bit-identical.
+/// lease-derived fault plan through the sharded service at 1, 2 and 4
+/// workers — everything must be bit-identical.
 fn determinism_json(smoke: bool, spec: &SpotSpec) -> String {
     let base = scenario(smoke, SEEDS[0]);
     let sc = spec.apply(&base);
@@ -172,47 +170,41 @@ fn determinism_json(smoke: bool, spec: &SpotSpec) -> String {
     let mut baseline: Option<(u64, u64, u64, u64)> = None;
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4] {
-        for pipeline in [false, true] {
-            let cfg = ServiceConfig {
-                shards,
-                epoch_slots: 4,
-                scheduler,
-                pipeline,
-                ..ServiceConfig::default()
-            };
-            set_thread_override(Some(threads));
-            let out = AuctionService::run(&sc, cfg, &plan).expect("service run");
-            set_thread_override(None);
-            let key = (
-                out.welfare.social_welfare.to_bits(),
-                out.welfare.refunds.to_bits(),
-                out.ledger_digest,
-                decision_fingerprint(&out),
-            );
-            match baseline {
-                None => baseline = Some(key),
-                Some(expected) => assert_eq!(
-                    expected, key,
-                    "spot service diverged at {threads} workers, pipeline {pipeline} \
-                     (welfare bits / refund bits / ledger digest / decisions)"
-                ),
-            }
-            println!(
-                "determinism {threads} workers, pipeline {}: welfare {:.2}, refunds {:.2}, ledger digest {:016x} — identical",
-                if pipeline { "on " } else { "off" },
-                out.welfare.social_welfare,
-                out.welfare.refunds,
-                out.ledger_digest,
-            );
-            rows.push(format!(
-                concat!(
-                    "    {{\"workers\": {}, \"pipeline\": {}, \"effective_workers\": {}, ",
-                    "\"welfare_bits\": \"{:016x}\", \"refund_bits\": \"{:016x}\", ",
-                    "\"ledger_digest\": \"{:016x}\", \"decision_fingerprint\": \"{:016x}\"}}"
-                ),
-                threads, pipeline, out.effective_workers, key.0, key.1, key.2, key.3
-            ));
+        let cfg = ServiceConfig {
+            shards,
+            epoch_slots: 4,
+            scheduler,
+            ..ServiceConfig::default()
+        };
+        set_thread_override(Some(threads));
+        let out = AuctionService::run(&sc, cfg, &plan).expect("service run");
+        set_thread_override(None);
+        let key = (
+            out.welfare.social_welfare.to_bits(),
+            out.welfare.refunds.to_bits(),
+            out.ledger_digest,
+            decision_fingerprint(&out),
+        );
+        match baseline {
+            None => baseline = Some(key),
+            Some(expected) => assert_eq!(
+                expected, key,
+                "spot service diverged at {threads} workers \
+                 (welfare bits / refund bits / ledger digest / decisions)"
+            ),
         }
+        println!(
+            "determinism {threads} workers: welfare {:.2}, refunds {:.2}, ledger digest {:016x} — identical",
+            out.welfare.social_welfare, out.welfare.refunds, out.ledger_digest,
+        );
+        rows.push(format!(
+            concat!(
+                "    {{\"workers\": {}, \"effective_workers\": {}, ",
+                "\"welfare_bits\": \"{:016x}\", \"refund_bits\": \"{:016x}\", ",
+                "\"ledger_digest\": \"{:016x}\", \"decision_fingerprint\": \"{:016x}\"}}"
+            ),
+            threads, out.effective_workers, key.0, key.1, key.2, key.3
+        ));
     }
     rows.join(",\n")
 }
@@ -283,11 +275,11 @@ fn main() {
     );
     if smoke {
         println!(
-            "smoke ok: comparison deterministic, revocation determinism held across 1/2/4 workers x pipeline on/off; artifact not rewritten"
+            "smoke ok: comparison deterministic, revocation determinism held across 1/2/4 workers; artifact not rewritten"
         );
         return;
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spot.json");
+    let path = "BENCH_spot.json";
     std::fs::write(path, &body).expect("write BENCH_spot.json");
     println!("wrote {path}");
 }

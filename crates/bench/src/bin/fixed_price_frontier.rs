@@ -5,8 +5,9 @@
 //! these requirements". Pass `--full` for paper scale.
 
 use pdftsp_baselines::{FixedPrice, FixedPriceConfig};
+use pdftsp_cluster::parallel_map;
 use pdftsp_core::{Pdftsp, PdftspConfig};
-use pdftsp_sim::{parallel_map, run_scheduler, FigureTable};
+use pdftsp_sim::{run_scheduler, FigureTable};
 use pdftsp_workload::ArrivalProcess;
 
 fn main() {

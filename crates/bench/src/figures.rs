@@ -6,9 +6,10 @@
 //! shapes (utility curve, bid/payment pairs, ratio grid, latency CDF).
 
 use crate::scale::Scale;
+use pdftsp_cluster::parallel_map;
 use pdftsp_core::{probe_bid, Pdftsp, PdftspConfig};
 use pdftsp_lora::TuningParadigm;
-use pdftsp_sim::{parallel_map, ratio_sweep, run_algo, run_scheduler, Algo, FigureTable};
+use pdftsp_sim::{ratio_sweep, run_algo, run_scheduler, Algo, FigureTable};
 use pdftsp_solver::milp::MilpConfig;
 use pdftsp_telemetry::Telemetry;
 use pdftsp_types::Task;

@@ -52,9 +52,6 @@ serve-sim options:
   --epoch E        slots committed per service epoch   [default 4]
   --rate R         open-loop arrival rate in tasks/sec (paces admission
                    and measures admission latency; omit for unpaced)
-  --pipeline       overlap epochs: each shard starts proposing epoch e+1
-                   on the worker pool as soon as its epoch-e ops commit
-                   (decisions are bit-identical; only throughput changes)
   --faults SPEC    inject seeded node failures through the service path
                    (same SPEC syntax as simulate)
   --spot SPEC      transform the scenario per the spot spec and drive
@@ -142,8 +139,6 @@ pub struct ServiceArgs {
     pub epoch: usize,
     /// Open-loop arrival rate in tasks/sec (`--rate`), `None` = unpaced.
     pub rate: Option<f64>,
-    /// Pipelined epoch execution (`--pipeline`).
-    pub pipeline: bool,
 }
 
 impl Default for ServiceArgs {
@@ -152,7 +147,6 @@ impl Default for ServiceArgs {
             shards: 2,
             epoch: 4,
             rate: None,
-            pipeline: false,
         }
     }
 }
@@ -354,7 +348,6 @@ impl Cli {
                     }
                     service.rate = Some(rate);
                 }
-                "--pipeline" => service.pipeline = true,
                 "--milp-nodes" => {
                     milp.nodes = parse_num(value_for("--milp-nodes")?, "--milp-nodes")?;
                 }
@@ -565,12 +558,10 @@ mod tests {
         let cli = parse("serve-sim").unwrap();
         assert_eq!(cli.command, Command::ServeSim);
         assert_eq!(cli.service, ServiceArgs::default());
-        let cli = parse("serve-sim --shards 4 --epoch 6 --rate 1000 --pipeline").unwrap();
+        let cli = parse("serve-sim --shards 4 --epoch 6 --rate 1000").unwrap();
         assert_eq!(cli.service.shards, 4);
         assert_eq!(cli.service.epoch, 6);
         assert_eq!(cli.service.rate, Some(1000.0));
-        assert!(cli.service.pipeline);
-        assert!(!parse("serve-sim").unwrap().service.pipeline);
         assert!(parse("serve-sim --shards 0").is_err());
         assert!(parse("serve-sim --epoch 0").is_err());
         assert!(parse("serve-sim --rate -3").is_err());

@@ -13,9 +13,8 @@
 //!   complete), verifying deadlines and capacities, and accounting energy.
 //! * [`metrics`] — utilization and co-location statistics.
 //! * [`parallel`] — a persistent, deterministic worker pool behind an
-//!   order-preserving parallel map, shared by the scheduler hot path
-//!   (vendor evaluation), the experiment sweeps, and the auction
-//!   service's phase-1 proposals.
+//!   order-preserving parallel map, shared by the experiment sweeps and
+//!   the auction service's phase-1 proposals.
 //! * [`shard`] — largest-remainder node apportionment and the contiguous
 //!   shard ranges the sharded auction service partitions the cluster
 //!   into (each shard owns its own ledger slice and dual grid).
@@ -36,6 +35,6 @@ pub use ledger::{CapacityLedger, LedgerError, Released};
 pub use metrics::ClusterMetrics;
 pub use parallel::{
     configured_threads, effective_workers, hardware_threads, parallel_map, pool_stats,
-    set_thread_override, spawn, thread_override, try_parallel_map, JobHandle, PoolPanic, PoolStats,
+    set_thread_override, thread_override, try_parallel_map, PoolPanic, PoolStats,
 };
 pub use shard::{apportion, ShardError, ShardMap, ShardSpec};

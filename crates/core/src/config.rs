@@ -119,9 +119,9 @@ pub enum EvalPipeline {
     Reference,
     /// The production path (default): one shared delta grid per arrival,
     /// a reusable DP arena, admission pruning from column-minima bounds,
-    /// early DP-row termination, and (above
-    /// [`PdftspConfig::parallel_vendor_min`] surviving vendors) parallel
-    /// vendor evaluation.
+    /// early DP-row termination, and a sequential vendor loop that skips
+    /// vendors unable to beat the incumbent and shares one DP between
+    /// vendors quoting the same start slot.
     Optimized,
 }
 
@@ -204,15 +204,6 @@ pub struct PdftspConfig {
     pub pricing: PricingRule,
     /// Which evaluation pipeline handles arrivals.
     pub pipeline: EvalPipeline,
-    /// Minimum number of admission-surviving vendors before their DPs run
-    /// under the scoped parallel map; below it the sequential loop (which
-    /// additionally skips vendors that cannot beat the incumbent) is
-    /// faster. The paper's scenarios quote ≤ 5 vendors per task, so the
-    /// default keeps them sequential; vendor-rich markets cross it. A
-    /// value at the floor (≤ 2) forces the parallel branch even on a
-    /// single hardware thread (tests use this); larger values also
-    /// require more than one hardware thread at scheduler construction.
-    pub parallel_vendor_min: usize,
     /// Which min-plus row kernel the DP dispatches (scalar or SIMD; both
     /// bit-identical). Resolved once at scheduler construction;
     /// [`KernelChoice::Auto`] honours the `PDFTSP_KERNEL` environment
@@ -236,7 +227,6 @@ impl Default for PdftspConfig {
             capacity_policy: CapacityPolicy::MaskSaturated,
             pricing: PricingRule::WithEnergy,
             pipeline: EvalPipeline::Optimized,
-            parallel_vendor_min: 8,
             kernel: KernelChoice::Auto,
             preheat: None,
         }
@@ -268,15 +258,6 @@ impl PdftspConfig {
     pub fn reference(self) -> Self {
         PdftspConfig {
             pipeline: EvalPipeline::Reference,
-            ..self
-        }
-    }
-
-    /// Overrides the parallel-vendor threshold.
-    #[must_use]
-    pub fn with_parallel_vendor_min(self, parallel_vendor_min: usize) -> Self {
-        PdftspConfig {
-            parallel_vendor_min,
             ..self
         }
     }
@@ -329,10 +310,8 @@ mod tests {
     fn default_pipeline_is_optimized_with_reference_opt_out() {
         let c = PdftspConfig::default();
         assert_eq!(c.pipeline, EvalPipeline::Optimized);
-        assert!(c.parallel_vendor_min >= 2);
         let r = c.reference();
         assert_eq!(r.pipeline, EvalPipeline::Reference);
         assert_eq!(r.capacity_policy, c.capacity_policy);
-        assert_eq!(c.with_parallel_vendor_min(3).parallel_vendor_min, 3);
     }
 }

@@ -14,14 +14,11 @@
 //! 5. charge the payment of Eq. (14) computed with the *pre-update* duals.
 
 use crate::config::{AlphaBeta, CapacityPolicy, EvalPipeline, PdftspConfig};
-use crate::dp::{
-    find_schedule_on_grid, find_schedule_reference, DpBuffers, DpContext, DpResult, EvalScratch,
-};
+use crate::dp::{find_schedule_on_grid, find_schedule_reference, DpContext, DpResult, EvalScratch};
 use crate::duals::DualState;
-use crate::grid::DeltaGrid;
 use crate::kernel::KernelDispatch;
 use crate::pricing::payment;
-use pdftsp_cluster::{configured_threads, parallel_map, CapacityLedger, LedgerError, Released};
+use pdftsp_cluster::{CapacityLedger, LedgerError, Released};
 use pdftsp_telemetry::{Event, Reason, Span, Telemetry};
 use pdftsp_types::{
     Decision, OnlineScheduler, Rejection, Scenario, Schedule, Slot, SlotOutcome, Task, TaskId,
@@ -125,16 +122,8 @@ pub struct Pdftsp {
     /// from a parallel sweep); the online loop itself is single-threaded
     /// per scheduler, so the lock is always uncontended.
     scratch: Mutex<EvalScratch>,
-    /// Worker threads, cached at construction: the hardware's parallelism
-    /// unless overridden by `PDFTSP_THREADS` or
-    /// [`pdftsp_cluster::set_thread_override`]. The vendor-parallel branch
-    /// is skipped when this is 1: dispatching workers on a single core is
-    /// pure overhead, and the sequential path additionally gets to use its
-    /// incumbent skip and shared-start memo.
-    workers: usize,
     /// The resolved DP row kernel ([`PdftspConfig::kernel`], resolved
-    /// once). Private worker arenas in the vendor-parallel branch inherit
-    /// it.
+    /// once).
     kernel: KernelDispatch,
     /// Observability: typed event stream + always-on counters. Defaults to
     /// [`Telemetry::disabled`] (no-op sink), where emission is one cached
@@ -154,23 +143,6 @@ impl Pdftsp {
     /// counters run regardless).
     #[must_use]
     pub fn with_telemetry(scenario: &Scenario, config: PdftspConfig, telemetry: Telemetry) -> Self {
-        Pdftsp::with_workers(scenario, config, telemetry, configured_threads())
-    }
-
-    /// Like [`Pdftsp::with_telemetry`], but with an explicit worker count
-    /// for the vendor-parallel branch instead of the process-wide
-    /// [`pdftsp_cluster::configured_threads`]. The sharded auction
-    /// service constructs one scheduler per shard with `workers = 1`:
-    /// the shards themselves run under the scoped parallel map, and
-    /// pinning the per-shard vendor loop sequential keeps the two
-    /// parallelism layers from nesting while leaving every decision
-    /// bit-identical to a single-thread run.
-    pub fn with_workers(
-        scenario: &Scenario,
-        config: PdftspConfig,
-        telemetry: Telemetry,
-        workers: usize,
-    ) -> Self {
         let (alpha, beta) = match config.alpha_beta {
             AlphaBeta::Fixed { alpha, beta } => (alpha, beta),
             AlphaBeta::RunningMax {
@@ -194,23 +166,28 @@ impl Pdftsp {
             beta,
             records: Vec::new(),
             scratch: Mutex::new(EvalScratch::with_kernel(kernel)),
-            workers: workers.max(1),
             telemetry,
             kernel,
         }
+    }
+
+    /// [`Pdftsp::with_telemetry`]; the worker count is ignored. Kept only
+    /// because the `benchmark/` package calls it; it goes with the next
+    /// change to that package.
+    #[must_use]
+    pub fn with_workers(
+        scenario: &Scenario,
+        config: PdftspConfig,
+        telemetry: Telemetry,
+        _workers: usize,
+    ) -> Self {
+        Pdftsp::with_telemetry(scenario, config, telemetry)
     }
 
     /// The DP row kernel this scheduler resolved at construction.
     #[must_use]
     pub fn kernel(&self) -> KernelDispatch {
         self.kernel
-    }
-
-    /// Worker threads the vendor-parallel branch may use (cached at
-    /// construction from [`pdftsp_cluster::configured_threads`]).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The configuration this scheduler runs with.
@@ -328,8 +305,7 @@ impl Pdftsp {
     }
 
     /// The grid pipeline: build the shared delta grid once, bound every
-    /// vendor cheaply, then run (possibly parallel) DPs only for vendors
-    /// that could still win.
+    /// vendor cheaply, then run DPs only for vendors that could still win.
     fn evaluate_optimized(
         &self,
         ctx: &DpContext<'_>,
@@ -375,41 +351,7 @@ impl Pdftsp {
         }
 
         let mut best: Option<Candidate> = None;
-        let par_min = self.config.parallel_vendor_min;
-        // A threshold explicitly at the floor (≤ 2) demands the parallel
-        // branch unconditionally — the equivalence tests rely on that.
-        // Larger thresholds additionally require real hardware threads:
-        // dispatching workers on a single core costs more than it saves
-        // and forfeits the sequential path's incumbent skip and memo.
-        if plans.len() >= par_min.max(2) && (self.workers > 1 || par_min <= 2) {
-            // Vendor-parallel: one DP per *distinct start slot* (vendors
-            // quoting the same delay share it), workers share the grid
-            // read-only and carry private DP arenas; the fold below
-            // replays the reference's quote order and strict-> tie-break
-            // exactly.
-            let grid: &DeltaGrid = &scratch.grid;
-            let mut starts: Vec<Slot> = plans.iter().map(|&(_, start, _)| start).collect();
-            starts.sort_unstable();
-            starts.dedup();
-            counters.bump(
-                &counters.vendors_memoized,
-                (plans.len() - starts.len()) as u64,
-            );
-            let results = parallel_map(&starts, |&start| {
-                let mut local = DpBuffers::with_kernel(self.kernel);
-                find_schedule_on_grid(ctx, task, start, grid, &mut local)
-            });
-            for &(quote, start, _) in &plans {
-                let i = starts
-                    .binary_search(&start)
-                    .expect("start was collected above");
-                let Some(dp) = &results[i] else { continue };
-                let cand = self.candidate_from(task, quote, dp.clone());
-                if best.as_ref().is_none_or(|b| cand.f_value > b.f_value) {
-                    best = Some(cand);
-                }
-            }
-        } else if let [(quote, start, _)] = plans[..] {
+        if let [(quote, start, _)] = plans[..] {
             // Single survivor: no ordering or memo bookkeeping to pay for.
             if let Some(dp) =
                 find_schedule_on_grid(ctx, task, start, &scratch.grid, &mut scratch.bufs)

@@ -7,7 +7,7 @@
 //! over-state the ratio, never flatter the online algorithm.
 
 use crate::driver::{run_algo, Algo};
-use crate::parallel::{effective_workers, parallel_map};
+use pdftsp_cluster::{effective_workers, parallel_map};
 use pdftsp_solver::milp::MilpConfig;
 use pdftsp_solver::offline::offline_optimum_with_telemetry;
 use pdftsp_telemetry::Telemetry;

@@ -297,7 +297,6 @@ pub fn run_pdftsp_instrumented(
         .with_pool(
             pool_after.tasks.saturating_sub(pool_before.tasks),
             pool_after.park_ns.saturating_sub(pool_before.park_ns),
-            0,
         );
     (result, scheduler)
 }

@@ -19,8 +19,6 @@
 //!   and the recovery run loop ([`faults::run_pdftsp_with_faults`]):
 //!   ledger release, quarantine, remnant resubmission, and Eq. (14)
 //!   consumed-resource refunds;
-//! * [`parallel`] — a scoped parallel map for sweeps (one scheduler
-//!   instance per scenario; no shared mutable state);
 //! * [`service`] — the sharded auction service: per-shard dual grids
 //!   and ledger slices, epoch-batched admission with deterministic
 //!   routing, and an epoch-ordered two-phase commit against the global
@@ -37,7 +35,6 @@ pub mod artifacts;
 pub mod competitive;
 pub mod driver;
 pub mod faults;
-pub mod parallel;
 pub mod report;
 pub mod service;
 pub mod spot;
@@ -57,7 +54,6 @@ pub use faults::{
     run_pdftsp_with_faults, AbortedTask, FaultEvent, FaultPlan, FaultRunResult, FaultSpec,
     FaultWelfare,
 };
-pub use parallel::{effective_workers, parallel_map};
 pub use report::FigureTable;
 pub use service::{
     AuctionService, EpochReport, Observability, ServiceConfig, ServiceError, ServiceOutcome,

@@ -11,36 +11,28 @@
 //! cross-shard contention with an **epoch-ordered two-phase commit**
 //! against the data-center's fixed-point ledger:
 //!
-//! * **Phase 1 (propose, parallel).** Every shard — on the persistent
-//!   worker pool, so any worker count — sequentially processes its
-//!   fault events and routed arrivals for the epoch's slots through its
-//!   own scheduler, provisionally committing to its shard-local ledger
-//!   and recording every mutation as a [`LedgerOp`].
-//! * **Phase 2 (commit, sequential).** The coordinator replays the op
-//!   logs in shard-id order against the global [`CapacityLedger`], node
-//!   ids remapped from shard-local to global. Shards own disjoint node
-//!   ranges, so validation can never fail — the service checks anyway
-//!   and verifies at settlement that the global ledger mirrors every
-//!   shard ledger cell-for-cell.
+//! * **Phase 1 (propose, parallel).** One [`try_parallel_map`] over the
+//!   shards on the persistent worker pool: every shard sequentially
+//!   processes its fault events and routed arrivals for the epoch's
+//!   slots through its own scheduler, provisionally committing to its
+//!   shard-local ledger and recording every mutation as a [`LedgerOp`]
+//!   in its retained proposal buffer.
+//! * **Phase 2 (commit, sequential).** Once every shard has proposed,
+//!   the coordinator replays the op logs in shard-id order against the
+//!   global [`CapacityLedger`], node ids remapped from shard-local to
+//!   global. Shards own disjoint node ranges, so validation can never
+//!   fail — the service checks anyway and verifies at settlement that
+//!   the global ledger mirrors every shard ledger cell-for-cell.
 //!
-//! With [`ServiceConfig::pipeline`] set, the two phases overlap across
-//! epochs: shard *s* starts proposing epoch *e+1* (a [`spawn`]ed pool
-//! job writing into a second, recycled proposal buffer) as soon as its
-//! own epoch-*e* ops are committed, while the coordinator keeps
-//! draining phase-2 commits in strict `(epoch, shard)` order. Shard
-//! proposals only read state the shard itself owns — never the global
-//! ledger — so the overlap cannot change any decision, and the commit
-//! stream the global ledger sees is the same sequence in the same
-//! order. Welfare bits, ledger digests, decision fingerprints, and span
-//! streams are bit-identical with the pipeline on or off.
+//! The shards are the system's only intra-run parallelism: each shard's
+//! scheduler evaluates vendors sequentially.
 //!
 //! **Determinism argument.** Routing is a pure function of `(task id,
 //! route seed, shard sizes)`; each shard's phase-1 work is a sequential
 //! loop over state only that shard owns; [`try_parallel_map`] merges
-//! results by item index (and the pipelined path drains spawned jobs in
-//! the same order); and phase 2 applies ops in fixed shard order. No step
-//! observes wall-clock time, scheduling order, or worker count, so a
-//! 16-worker run replays the single-thread schedule — welfare bits,
+//! results by item index; and phase 2 applies ops in fixed shard order.
+//! No step observes wall-clock time, scheduling order, or worker count,
+//! so a 16-worker run replays the single-thread schedule — welfare bits,
 //! ledger digest, payments — bit-for-bit. The only nondeterministic
 //! outputs are latency *measurements* (`decide_seconds`, admission
 //! histograms), which never feed back into decisions.
@@ -55,8 +47,8 @@ use crate::faults::{
     handle_crash, settle, AbortedTask, FaultEvent, FaultPlan, FaultWelfare, LedgerOp, TaskState,
 };
 use pdftsp_cluster::{
-    effective_workers, pool_stats, spawn, try_parallel_map, CapacityLedger, JobHandle, LedgerError,
-    PoolStats, ShardError, ShardMap,
+    effective_workers, pool_stats, try_parallel_map, CapacityLedger, LedgerError, PoolStats,
+    ShardError, ShardMap,
 };
 use pdftsp_core::{Pdftsp, PdftspConfig};
 use pdftsp_telemetry::{FlightRecorder, LatencyHistogram, Sink, Span, SpanLog, TeeSink, Telemetry};
@@ -85,13 +77,6 @@ pub struct ServiceConfig {
     /// admission latency is measured from epoch entry (pure batch
     /// processing time).
     pub open_loop_rate: Option<f64>,
-    /// Pipelined epoch execution: shard *s* begins phase-1 proposals
-    /// for epoch *e+1* (double-buffered op logs, spawned on the
-    /// persistent worker pool) as soon as its epoch-*e* ops are
-    /// committed, overlapping proposals with the coordinator's phase-2
-    /// drain. Decision content is bit-identical either way; only
-    /// wall-clock throughput changes. Off by default.
-    pub pipeline: bool,
 }
 
 impl Default for ServiceConfig {
@@ -102,7 +87,6 @@ impl Default for ServiceConfig {
             scheduler: PdftspConfig::default(),
             route_seed: 0x0005_EED0_F5EA_C0DE,
             open_loop_rate: None,
-            pipeline: false,
         }
     }
 }
@@ -167,6 +151,23 @@ pub enum ServiceError {
     },
     /// The settled decision set failed execution-engine replay.
     Replay(String),
+    /// Fault event `index` names node `node`, but the cluster has only
+    /// `nodes` nodes.
+    FaultNodeOutOfRange {
+        /// Position of the event in the plan.
+        index: usize,
+        /// The node the event names.
+        node: NodeId,
+        /// Nodes in the cluster.
+        nodes: usize,
+    },
+    /// Fault event `index` sorts before its predecessor: the plan is not
+    /// in `(slot, kind, node)` order, so the per-shard event cursors
+    /// would skip events the single-process fault loop applies.
+    FaultPlanUnsorted {
+        /// Position of the first out-of-order event in the plan.
+        index: usize,
+    },
     /// [`AuctionService::run_epoch`] was called after every epoch was
     /// already committed ([`AuctionService::is_done`]).
     AlreadyDone,
@@ -191,6 +192,13 @@ impl std::fmt::Display for ServiceError {
                 "global ledger diverged from shard {shard} at node {node}, slot {slot}"
             ),
             ServiceError::Replay(e) => write!(f, "settled decisions failed replay: {e}"),
+            ServiceError::FaultNodeOutOfRange { index, node, nodes } => write!(
+                f,
+                "fault event {index} names node {node}, but the cluster has {nodes} nodes"
+            ),
+            ServiceError::FaultPlanUnsorted { index } => {
+                write!(f, "fault event {index} is out of (slot, kind, node) order")
+            }
             ServiceError::AlreadyDone => write!(f, "all epochs already committed"),
             ServiceError::WorkerPanicked(e) => write!(f, "shard worker panicked: {e}"),
         }
@@ -293,13 +301,13 @@ pub struct ServiceOutcome {
     /// list (and any trace rendered from it) is byte-identical across
     /// worker counts.
     pub spans: Vec<Span>,
-    /// Epochs that consumed at least one pre-spawned (overlapped)
-    /// phase-1 proposal — 0 unless [`ServiceConfig::pipeline`] was on
-    /// and more than one worker was available.
+    /// Always 0: epochs never overlap. Kept only because the
+    /// `benchmark/` package reads it; it goes with the next change to
+    /// that package.
     pub epochs_overlapped: u64,
-    /// Worker-pool tasks executed during this run (batch items plus
-    /// spawned proposal jobs). The pool is process-global, so the delta
-    /// is best-effort when other pool users run concurrently.
+    /// Worker-pool tasks executed during this run. The pool is
+    /// process-global, so the delta is best-effort when other pool users
+    /// run concurrently.
     pub pool_tasks: u64,
     /// Nanoseconds pool threads spent parked during this run (same
     /// best-effort caveat as [`ServiceOutcome::pool_tasks`]).
@@ -337,36 +345,32 @@ struct ShardState {
     /// The shard's flight recorder when armed — held here so `propose`
     /// can arm a panic-dump guard around its work loop.
     flight: Option<Arc<FlightRecorder>>,
+    /// This epoch's phase-1 output, retained across epochs so its
+    /// buffers keep their capacity.
+    proposal: Proposal,
 }
 
 /// One epoch's phase-1 output for one shard: the op log and the ids
-/// decided. The vectors are retained arena buffers — cleared and
-/// recycled across epochs (double-buffered per shard when the pipeline
-/// is on: one buffer draining in phase 2 while the next epoch's fills).
+/// decided.
 #[derive(Debug, Default)]
 struct Proposal {
     ops: Vec<LedgerOp>,
     decided: Vec<TaskId>,
 }
 
-/// An in-flight pipelined proposal: the pool job handle plus the slot
-/// the job publishes its [`Proposal`] into.
-struct Pending {
-    handle: JobHandle,
-    out: Arc<Mutex<Option<Proposal>>>,
-}
-
 impl ShardState {
-    /// Phase 1: sequentially processes `slots`, appending the op log and
-    /// the ids decided this epoch to `prop`'s (cleared, retained)
-    /// buffers. `epoch` feeds span attribution.
-    fn propose_into(&mut self, slots: std::ops::Range<Slot>, epoch: usize, prop: &mut Proposal) {
+    /// Phase 1: sequentially processes `slots`, refilling
+    /// [`ShardState::proposal`] with the op log and the ids decided this
+    /// epoch. `epoch` feeds span attribution.
+    fn propose(&mut self, slots: std::ops::Range<Slot>, epoch: usize) {
         // If this shard's worker panics mid-epoch, dump the flight ring
         // on the way out so the post-mortem survives the unwind.
         let _panic_dump = self.flight.as_ref().map(FlightRecorder::panic_dump_guard);
         self.pdftsp.telemetry().spans.set_epoch(epoch);
-        let ops = &mut prop.ops;
-        let decided = &mut prop.decided;
+        let ops = &mut self.proposal.ops;
+        let decided = &mut self.proposal.decided;
+        ops.clear();
+        decided.clear();
         for slot in slots {
             while self.next_event < self.events.len() && self.events[self.next_event].slot() == slot
             {
@@ -436,15 +440,11 @@ pub struct AuctionService {
     scenario: Scenario,
     cfg: ServiceConfig,
     map: ShardMap,
-    /// Shard worlds behind `Arc` so pipelined proposal jobs (which are
-    /// `'static` pool work) can hold them across `run_epoch` calls —
-    /// and keep them alive if the service is dropped mid-pipeline.
-    shards: Vec<Arc<Mutex<ShardState>>>,
+    /// Shard worlds. The mutex only lets the phase-1 parallel map hand
+    /// each worker `&mut` access to its own shard; it is never contended.
+    shards: Vec<Mutex<ShardState>>,
     /// `routes[task id]` = owning shard.
     routes: Vec<usize>,
-    /// Per-shard arrival slots of routed tasks, ascending — the
-    /// coordinator's lock-free source for queue-depth reporting.
-    arrival_slots: Vec<Vec<Slot>>,
     global: CapacityLedger,
     admission: LatencyHistogram,
     admission_seconds: Vec<f64>,
@@ -455,17 +455,8 @@ pub struct AuctionService {
     next_global_task: usize,
     started: Instant,
     last_commit_seconds: f64,
-    /// In-flight pipelined proposal per shard — always for the epoch
-    /// `epochs_done` is about to commit.
-    pending: Vec<Option<Pending>>,
-    /// Recycled proposal buffers (op logs + decided ids) — capacity is
-    /// retained across epochs instead of reallocating per epoch.
-    arena: Vec<Proposal>,
-    /// Shard indices `0..K`, built once for the phase-1 parallel map.
-    shard_idx: Vec<usize>,
     /// Set when a shard worker panicked; every later epoch fails fast.
     poisoned: Option<String>,
-    epochs_overlapped: u64,
     pool_at_start: PoolStats,
     obs: Observability,
     /// Per-shard span logs (propose/fault_recover spans emitted inside
@@ -508,21 +499,33 @@ fn pace_until(start: &Instant, target: f64) {
     }
 }
 
+/// Checks `plan` against the per-shard event cursors' assumptions: every
+/// event names a node of the cluster, and events are sorted by `(slot,
+/// kind, node)`.
+fn validate_plan(plan: &FaultPlan, nodes: usize) -> Result<(), ServiceError> {
+    for (index, ev) in plan.events.iter().enumerate() {
+        let (_, _, node) = ev.order();
+        if node >= nodes {
+            return Err(ServiceError::FaultNodeOutOfRange { index, node, nodes });
+        }
+        if index > 0 && ev.order() < plan.events[index - 1].order() {
+            return Err(ServiceError::FaultPlanUnsorted { index });
+        }
+    }
+    Ok(())
+}
+
 impl AuctionService {
     /// Builds the service: partitions the cluster, carves per-shard
     /// scenarios (node slice re-indexed from zero, task rate vectors cut
     /// to the range, cost-grid rows sliced), routes every task, and maps
     /// `plan`'s fault events to their owning shards.
     ///
-    /// Each shard's scheduler is pinned to one worker
-    /// ([`Pdftsp::with_workers`]): the shards themselves are the unit of
-    /// parallelism, and a sequential vendor loop inside each keeps
-    /// phase 1 identical to a single-thread run.
-    ///
     /// # Errors
     /// [`ServiceError::Shard`] when the cluster cannot be partitioned
-    /// (more shards than nodes) and [`ServiceError::ZeroEpoch`] for an
-    /// empty epoch.
+    /// (more shards than nodes), [`ServiceError::ZeroEpoch`] for an
+    /// empty epoch, and [`ServiceError::FaultNodeOutOfRange`] /
+    /// [`ServiceError::FaultPlanUnsorted`] for a malformed `plan`.
     pub fn new(
         scenario: &Scenario,
         cfg: ServiceConfig,
@@ -546,6 +549,7 @@ impl AuctionService {
         if cfg.epoch_slots == 0 {
             return Err(ServiceError::ZeroEpoch);
         }
+        validate_plan(plan, scenario.nodes.len())?;
         let map = ShardMap::even(scenario.nodes.len(), cfg.shards)?;
         let total_nodes = scenario.nodes.len();
         // Route by hashing the task id onto a node and taking its owner:
@@ -661,8 +665,8 @@ impl AuctionService {
                 Telemetry::disabled()
             };
             span_logs.push(span_log);
-            let pdftsp = Pdftsp::with_workers(&shard_scenario, cfg.scheduler, telemetry, 1);
-            shards.push(Arc::new(Mutex::new(ShardState {
+            let pdftsp = Pdftsp::with_telemetry(&shard_scenario, cfg.scheduler, telemetry);
+            shards.push(Mutex::new(ShardState {
                 scenario: shard_scenario,
                 pdftsp,
                 states: vec![TaskState::Pending; scenario.tasks.len()],
@@ -674,7 +678,8 @@ impl AuctionService {
                 disrupted: 0,
                 recovered: 0,
                 flight,
-            })));
+                proposal: Proposal::default(),
+            }));
         }
         // Route spans are coordinator facts known up front: one root per
         // task, timestamped at its arrival slot on the sim clock.
@@ -688,25 +693,12 @@ impl AuctionService {
             Vec::new()
         };
         let commit_span_done = vec![false; scenario.tasks.len()];
-        let arrival_slots: Vec<Vec<Slot>> = shards
-            .iter()
-            .map(|shard| {
-                let guard = shard.lock().expect("fresh shard lock");
-                guard
-                    .arrivals
-                    .iter()
-                    .map(|&id| scenario.tasks[id].arrival)
-                    .collect()
-            })
-            .collect();
-        let num_shards = map.num_shards();
         Ok(AuctionService {
             scenario: scenario.clone(),
             cfg,
             map,
             shards,
             routes,
-            arrival_slots,
             global: CapacityLedger::new(scenario),
             admission: LatencyHistogram::default(),
             admission_seconds: Vec::new(),
@@ -715,11 +707,7 @@ impl AuctionService {
             next_global_task: 0,
             started: Instant::now(),
             last_commit_seconds: 0.0,
-            pending: (0..num_shards).map(|_| None).collect(),
-            arena: Vec::new(),
-            shard_idx: (0..num_shards).collect(),
             poisoned: None,
-            epochs_overlapped: 0,
             pool_at_start: pool_stats(),
             obs,
             span_logs,
@@ -770,13 +758,9 @@ impl AuctionService {
     }
 
     /// Runs one epoch: waits for the batch's open-loop arrivals (when
-    /// paced), proposes across shards — spawned pool jobs when
-    /// pipelined, one order-preserving parallel map otherwise — commits
-    /// the op logs in `(epoch, shard)` order against the global ledger,
-    /// and records admission latency for every decided task. With
-    /// [`ServiceConfig::pipeline`] set, committing shard *s* immediately
-    /// re-arms its epoch-*e+1* proposal, so the next epoch's phase 1
-    /// overlaps the remainder of this epoch's phase 2.
+    /// paced), proposes across shards in one order-preserving parallel
+    /// map, commits the op logs in shard order against the global
+    /// ledger, and records admission latency for every decided task.
     ///
     /// # Errors
     /// [`ServiceError::AlreadyDone`] when called after
@@ -797,9 +781,7 @@ impl AuctionService {
         let end_slot = (first_slot + self.cfg.epoch_slots).min(self.scenario.horizon);
 
         // Advance the open-loop generator: every task arriving inside
-        // this batch must exist before the batch is proposed. (When this
-        // epoch was pre-spawned down the pipeline, the pre-spawn was
-        // gated on the same condition, so the wait below is a no-op.)
+        // this batch must exist before the batch is proposed.
         let mut last_arrival = None;
         while self.next_global_task < self.scenario.tasks.len()
             && self.scenario.tasks[self.next_global_task].arrival < end_slot
@@ -811,126 +793,49 @@ impl AuctionService {
             pace_until(&self.started, self.arrival_offset(id));
         }
         let epoch_entry = self.started.elapsed().as_secs_f64();
-
         let epoch = self.epochs_done;
+
+        let proposed = try_parallel_map(&self.shards, |shard| {
+            shard
+                .lock()
+                .expect("shard state poisoned by an earlier panic")
+                .propose(first_slot..end_slot, epoch);
+        });
+        if let Err(p) = proposed {
+            let msg = format!("epoch {epoch}: {p}");
+            self.poisoned = Some(msg.clone());
+            return Err(ServiceError::WorkerPanicked(msg));
+        }
+
         let paced = self.cfg.open_loop_rate.is_some();
         let mut decided_total = 0usize;
         let mut ops_total = 0usize;
         let mut commit_seq = 0u64;
-
-        if self.cfg.pipeline {
-            // Pipelined: drain this epoch's (possibly pre-spawned)
-            // proposals in shard order, re-arming each shard's next
-            // epoch the moment its commits land so phase 1 of e+1 runs
-            // behind the remaining phase-2 work.
-            if self.pending.iter().any(Option::is_some) {
-                self.epochs_overlapped += 1;
-            }
-            for s in 0..self.shards.len() {
-                if self.pending[s].is_none() {
-                    let prop = self.arena.pop().unwrap_or_default();
-                    self.pending[s] =
-                        Some(self.spawn_propose(s, epoch, first_slot..end_slot, prop));
-                }
-            }
-            let next_first = end_slot;
-            let next_end = (next_first + self.cfg.epoch_slots).min(self.scenario.horizon);
-            // Pre-spawning only helps with a second worker, and under
-            // pacing it must wait for the whole next batch to arrive.
-            let prespawn = next_first < self.scenario.horizon
-                && effective_workers(self.shards.len()) > 1
-                && self.batch_arrived(next_end);
-            for s in 0..self.shards.len() {
-                let pend = self.pending[s].take().expect("proposal just armed");
-                if let Err(p) = pend.handle.wait() {
-                    let msg = format!("shard {s} epoch {epoch}: {p}");
-                    self.poisoned = Some(msg.clone());
-                    return Err(ServiceError::WorkerPanicked(msg));
-                }
-                let prop = pend
-                    .out
-                    .lock()
-                    .expect("proposal slot")
-                    .take()
-                    .expect("finished proposal job published its buffers");
-                let (d, o) = self.commit_shard(
-                    s,
-                    &prop,
-                    epoch,
-                    end_slot,
-                    paced,
-                    epoch_entry,
-                    &mut commit_seq,
-                )?;
-                decided_total += d;
-                ops_total += o;
-                if prespawn {
-                    self.pending[s] =
-                        Some(self.spawn_propose(s, epoch + 1, next_first..next_end, prop));
-                } else {
-                    self.arena.push(prop);
-                }
-            }
-        } else {
-            // Serial (non-pipelined): one order-preserving parallel map
-            // across shards, then commit in shard order. Proposal
-            // buffers are popped from the retained arena (which buffer a
-            // shard gets is irrelevant: all are cleared before use).
-            let mut bufs = Vec::with_capacity(self.shards.len());
-            for _ in 0..self.shards.len() {
-                bufs.push(self.arena.pop().unwrap_or_default());
-            }
-            let stack = Mutex::new(bufs);
-            let shards = &self.shards;
-            let result = try_parallel_map(&self.shard_idx, |&s| {
-                let mut prop = match stack.lock() {
-                    Ok(mut v) => v.pop().unwrap_or_default(),
-                    Err(_) => Proposal::default(),
-                };
-                prop.ops.clear();
-                prop.decided.clear();
-                shards[s]
-                    .lock()
-                    .expect("shard state poisoned by an earlier panic")
-                    .propose_into(first_slot..end_slot, epoch, &mut prop);
-                prop
-            });
-            let props = match result {
-                Ok(p) => p,
-                Err(p) => {
-                    let msg = format!("epoch {epoch}: {p}");
-                    self.poisoned = Some(msg.clone());
-                    return Err(ServiceError::WorkerPanicked(msg));
-                }
-            };
-            for (s, prop) in props.iter().enumerate() {
-                let (d, o) = self.commit_shard(
-                    s,
-                    prop,
-                    epoch,
-                    end_slot,
-                    paced,
-                    epoch_entry,
-                    &mut commit_seq,
-                )?;
-                decided_total += d;
-                ops_total += o;
-            }
-            self.arena.extend(props);
+        let mut queue_depth = Vec::with_capacity(self.shards.len());
+        for s in 0..self.shards.len() {
+            // Borrow the proposal out of the shard while phase 2 mutates
+            // the rest of the service, then hand the buffers back.
+            let prop = std::mem::take(&mut self.shard_mut(s).proposal);
+            let (d, o) = self.commit_shard(
+                s,
+                &prop,
+                epoch,
+                end_slot,
+                paced,
+                epoch_entry,
+                &mut commit_seq,
+            )?;
+            decided_total += d;
+            ops_total += o;
+            let shard = self.shard_mut(s);
+            shard.proposal = prop;
+            queue_depth.push(shard.arrivals.len() - shard.next_arrival);
         }
 
         self.next_slot = end_slot;
         self.epochs_done += 1;
-        // Queue depth from the precomputed arrival slots — the live
-        // shard states may already be proposing epoch e+1 down the
-        // pipeline, so the coordinator never reads them here.
-        let queue_depth = self
-            .arrival_slots
-            .iter()
-            .map(|slots| slots.len() - slots.partition_point(|&a| a < end_slot))
-            .collect();
         Ok(EpochReport {
-            epoch: self.epochs_done - 1,
+            epoch,
             first_slot,
             end_slot,
             decided: decided_total,
@@ -939,52 +844,12 @@ impl AuctionService {
         })
     }
 
-    /// Arms shard `s`'s phase-1 proposal for `epoch` as a job on the
-    /// persistent worker pool, recycling `prop`'s retained buffers. The
-    /// job owns an `Arc` clone of the shard state, so dropping the
-    /// service mid-pipeline leaves the job sound (it finishes against
-    /// state it keeps alive).
-    fn spawn_propose(
-        &self,
-        s: usize,
-        epoch: usize,
-        slots: std::ops::Range<Slot>,
-        mut prop: Proposal,
-    ) -> Pending {
-        prop.ops.clear();
-        prop.decided.clear();
-        let shard = Arc::clone(&self.shards[s]);
-        let out = Arc::new(Mutex::new(None));
-        let publish = Arc::clone(&out);
-        let handle = spawn(move || {
-            shard
-                .lock()
-                .expect("shard state poisoned by an earlier panic")
-                .propose_into(slots, epoch, &mut prop);
-            *publish.lock().expect("proposal slot") = Some(prop);
-        });
-        Pending { handle, out }
-    }
-
-    /// Whether every open-loop arrival strictly before `end_slot` has
-    /// already occurred on the wall clock (vacuously true unpaced).
-    /// Pipelined pre-spawns are gated on this so proposals never run
-    /// ahead of the arrival generator.
-    fn batch_arrived(&self, end_slot: Slot) -> bool {
-        let rate = match self.cfg.open_loop_rate {
-            Some(r) if r > 0.0 => r,
-            _ => return true,
-        };
-        let mut last = None;
-        let mut i = self.next_global_task;
-        while i < self.scenario.tasks.len() && self.scenario.tasks[i].arrival < end_slot {
-            last = Some(i);
-            i += 1;
-        }
-        match last {
-            Some(id) => self.started.elapsed().as_secs_f64() >= id as f64 / rate,
-            None => true,
-        }
+    /// Exclusive access to shard `s` between phase-1 maps. Only reached
+    /// while the service is unpoisoned, so the lock is never poisoned.
+    fn shard_mut(&mut self, s: usize) -> &mut ShardState {
+        self.shards[s]
+            .get_mut()
+            .expect("shard state poisoned by an earlier panic")
     }
 
     /// Phase 2 for one shard: replays the proposal's op log against the
@@ -1225,7 +1090,7 @@ impl AuctionService {
             admission_seconds: self.admission_seconds,
             wall_seconds: self.last_commit_seconds,
             spans,
-            epochs_overlapped: self.epochs_overlapped,
+            epochs_overlapped: 0,
             pool_tasks: pool_now.tasks.saturating_sub(self.pool_at_start.tasks),
             pool_park_ns: pool_now.park_ns.saturating_sub(self.pool_at_start.park_ns),
         })
@@ -1380,53 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_run_is_bit_identical_to_serial() {
-        let sc = scenario();
-        let plan = plan(&sc);
-        let serial = AuctionService::run(&sc, cfg(3), &plan).unwrap();
-        let piped_cfg = ServiceConfig {
-            pipeline: true,
-            ..cfg(3)
-        };
-        let piped = AuctionService::run(&sc, piped_cfg, &plan).unwrap();
-        assert_eq!(
-            serial.welfare.social_welfare.to_bits(),
-            piped.welfare.social_welfare.to_bits()
-        );
-        assert_eq!(
-            serial.welfare.payments.to_bits(),
-            piped.welfare.payments.to_bits()
-        );
-        assert_eq!(serial.ledger_digest, piped.ledger_digest);
-        assert_eq!(serial.decisions.len(), piped.decisions.len());
-        for (a, b) in serial.decisions.iter().zip(&piped.decisions) {
-            match (&a.outcome, &b.outcome) {
-                (
-                    AuctionOutcome::Admitted {
-                        schedule: sa,
-                        payment: pa,
-                    },
-                    AuctionOutcome::Admitted {
-                        schedule: sb,
-                        payment: pb,
-                    },
-                ) => {
-                    assert_eq!(pa.to_bits(), pb.to_bits());
-                    assert_eq!(sa.vendor, sb.vendor);
-                    assert_eq!(sa.placements, sb.placements);
-                }
-                (AuctionOutcome::Rejected(_), AuctionOutcome::Rejected(_)) => {}
-                _ => panic!("pipeline flipped the admission of task {}", a.task),
-            }
-        }
-        // With >1 worker the pipeline must actually have overlapped.
-        if piped.effective_workers > 1 {
-            assert!(piped.epochs_overlapped > 0);
-        }
-        assert!(piped.pool_tasks > 0);
-    }
-
-    #[test]
     fn run_epoch_after_completion_is_already_done() {
         let sc = scenario();
         let plan = plan(&sc);
@@ -1435,22 +1253,6 @@ mod tests {
         assert!(matches!(svc.run_epoch(), Err(ServiceError::AlreadyDone)));
         // The error is non-destructive: settlement still works.
         svc.finish().unwrap();
-    }
-
-    #[test]
-    fn dropping_a_pipelined_service_mid_run_is_safe() {
-        let sc = scenario();
-        let plan = plan(&sc);
-        let piped = ServiceConfig {
-            pipeline: true,
-            ..cfg(3)
-        };
-        let mut svc = AuctionService::new(&sc, piped, &plan).unwrap();
-        svc.run_epoch().unwrap();
-        // Epoch 1's proposals may still be in flight on the pool; the
-        // jobs hold their own Arcs to the shard states, so the drop
-        // must not race them.
-        drop(svc);
     }
 
     #[test]
@@ -1468,5 +1270,46 @@ mod tests {
             AuctionService::run(&sc, bad_epoch, &plan(&sc)),
             Err(ServiceError::ZeroEpoch)
         ));
+    }
+
+    #[test]
+    fn malformed_fault_plans_are_typed_errors() {
+        let sc = scenario();
+        let nodes = sc.nodes.len();
+        let off_cluster = FaultPlan {
+            events: vec![FaultEvent::NodeDown {
+                node: nodes,
+                slot: 3,
+            }],
+        };
+        assert!(matches!(
+            AuctionService::new(&sc, cfg(2), &off_cluster),
+            Err(ServiceError::FaultNodeOutOfRange { index: 0, node, nodes: n })
+                if node == nodes && n == nodes
+        ));
+        // Slot 9 before slot 4: the single-process loop applies both, a
+        // shard cursor would skip the second.
+        let unsorted = FaultPlan {
+            events: vec![
+                FaultEvent::NodeDown { node: 0, slot: 9 },
+                FaultEvent::NodeDown { node: 1, slot: 4 },
+            ],
+        };
+        assert!(matches!(
+            AuctionService::new(&sc, cfg(2), &unsorted),
+            Err(ServiceError::FaultPlanUnsorted { index: 1 })
+        ));
+        // Equal keys are in order: a plan may repeat an event.
+        let repeated = FaultPlan {
+            events: vec![
+                FaultEvent::Degrade {
+                    node: 0,
+                    slot: 2,
+                    frac: 0.1,
+                };
+                2
+            ],
+        };
+        AuctionService::run(&sc, cfg(2), &repeated).unwrap();
     }
 }

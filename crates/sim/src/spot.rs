@@ -25,8 +25,8 @@
 
 use crate::driver::run_scheduler;
 use crate::faults::{run_pdftsp_with_faults, FaultEvent, FaultPlan};
-use crate::parallel::{effective_workers, parallel_map};
 use pdftsp_baselines::DeadlineAware;
+use pdftsp_cluster::{effective_workers, parallel_map};
 use pdftsp_core::{PdftspConfig, PreheatSpec};
 use pdftsp_telemetry::Telemetry;
 use pdftsp_types::{AuctionOutcome, Rejection, Scenario, Schedule};

@@ -14,7 +14,7 @@
 //! whole data center.
 
 use crate::driver::{run_algo, Algo, RunResult};
-use crate::parallel::parallel_map;
+use pdftsp_cluster::parallel_map;
 use pdftsp_cluster::{apportion, ShardError};
 use pdftsp_lora::TransformerConfig;
 use pdftsp_workload::ScenarioBuilder;

@@ -101,14 +101,11 @@ pub struct RunReport {
     pub dual_updates: u64,
     /// Decide-call latency percentiles.
     pub latency: LatencySummary,
-    /// Worker-pool tasks executed during the run (batch items plus
-    /// spawned jobs) — 0 when no pool snapshot was attached.
+    /// Worker-pool tasks executed during the run — 0 when no pool
+    /// snapshot was attached.
     pub pool_tasks: u64,
     /// Nanoseconds pool threads spent parked (idle) during the run.
     pub pool_park_ns: u64,
-    /// Epochs that consumed a pre-spawned pipelined proposal (service
-    /// runs only; 0 otherwise).
-    pub epochs_overlapped: u64,
     /// Cluster utilization, when a post-run replay is available.
     pub utilization: Option<UtilizationSummary>,
 }
@@ -151,7 +148,6 @@ impl RunReport {
             },
             pool_tasks: 0,
             pool_park_ns: 0,
-            epochs_overlapped: 0,
             utilization: None,
         }
     }
@@ -226,15 +222,13 @@ impl RunReport {
         self
     }
 
-    /// Attaches worker-pool / pipeline counters: tasks executed, park
-    /// (idle) nanoseconds, and epochs that overlapped a pre-spawned
-    /// proposal. Callers compute the run's delta from process-global
+    /// Attaches worker-pool counters: tasks executed and park (idle)
+    /// nanoseconds. Callers compute the run's delta from process-global
     /// pool snapshots before handing it here.
     #[must_use]
-    pub fn with_pool(mut self, tasks: u64, park_ns: u64, epochs_overlapped: u64) -> Self {
+    pub fn with_pool(mut self, tasks: u64, park_ns: u64) -> Self {
         self.pool_tasks = tasks;
         self.pool_park_ns = park_ns;
-        self.epochs_overlapped = epochs_overlapped;
         self
     }
 
@@ -279,7 +273,6 @@ impl RunReport {
         let _ = writeln!(s, "  \"dual_updates\": {},", self.dual_updates);
         let _ = writeln!(s, "  \"pool_tasks\": {},", self.pool_tasks);
         let _ = writeln!(s, "  \"pool_park_ns\": {},", self.pool_park_ns);
-        let _ = writeln!(s, "  \"epochs_overlapped\": {},", self.epochs_overlapped);
         let _ = writeln!(s, "  \"latency\": {{");
         let _ = writeln!(s, "    \"count\": {},", self.latency.count);
         let _ = writeln!(s, "    \"p50_nanos\": {:?},", self.latency.p50_nanos);
@@ -358,10 +351,9 @@ impl RunReport {
         if self.pool_tasks > 0 {
             let _ = writeln!(
                 s,
-                "  pool: {} tasks, {:.1} ms parked, {} epochs overlapped",
+                "  pool: {} tasks, {:.1} ms parked",
                 self.pool_tasks,
-                self.pool_park_ns as f64 / 1e6,
-                self.epochs_overlapped
+                self.pool_park_ns as f64 / 1e6
             );
         }
         if self.latency.count > 0 {
@@ -503,14 +495,12 @@ mod tests {
         let bare = RunReport::named("x");
         assert!(!bare.render_text().contains("pool:"));
         assert!(bare.to_json().contains("\"pool_tasks\": 0"));
-        let r = RunReport::named("x").with_pool(12, 3_500_000, 4);
+        let r = RunReport::named("x").with_pool(12, 3_500_000);
         assert_eq!(r.pool_tasks, 12);
         let json = r.to_json();
         assert!(json.contains("\"pool_tasks\": 12"), "{json}");
         assert!(json.contains("\"pool_park_ns\": 3500000"), "{json}");
-        assert!(json.contains("\"epochs_overlapped\": 4"), "{json}");
         let text = r.render_text();
         assert!(text.contains("pool: 12 tasks"), "{text}");
-        assert!(text.contains("4 epochs overlapped"), "{text}");
     }
 }

@@ -7,7 +7,8 @@
 //! cargo run -p pdftsp-examples --release --bin marketplace_day
 //! ```
 
-use pdftsp_sim::{parallel_map, run_algo, Algo, FigureTable};
+use pdftsp_cluster::parallel_map;
+use pdftsp_sim::{run_algo, Algo, FigureTable};
 use pdftsp_workload::{ArrivalProcess, NodeMix, ScenarioBuilder};
 
 fn main() {

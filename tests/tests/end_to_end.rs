@@ -1,7 +1,8 @@
 //! End-to-end days: every scheduler over generated scenarios, verified by
 //! the execution engine, with cross-algorithm sanity on the outcomes.
 
-use pdftsp_sim::{parallel_map, run_algo, Algo};
+use pdftsp_cluster::parallel_map;
+use pdftsp_sim::{run_algo, Algo};
 use pdftsp_types::{AuctionOutcome, Rejection};
 use pdftsp_workload::{ArrivalProcess, DeadlinePolicy, NodeMix, ScenarioBuilder, TraceKind};
 

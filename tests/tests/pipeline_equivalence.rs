@@ -2,11 +2,12 @@
 //! [`pdftsp_core::Pdftsp`].
 //!
 //! The optimized pipeline (shared delta grid, scratch arena, admission
-//! pruning, early DP termination, optional vendor parallelism) must make
-//! **bit-identical** admission, scheduling, payment, and dual-update
-//! decisions to the straight-line reference pipeline it replaced. These
-//! tests run both pipelines in lockstep over randomized scenarios and
-//! compare every externally observable artifact after every arrival.
+//! pruning, early DP termination, incumbent skip and shared-start memo)
+//! must make **bit-identical** admission, scheduling, payment, and
+//! dual-update decisions to the straight-line reference pipeline it
+//! replaced. These tests run both pipelines in lockstep over randomized
+//! scenarios and compare every externally observable artifact after
+//! every arrival.
 //!
 //! The one *documented* divergence is reject-record bookkeeping: a pruned
 //! vendor's `F(il)` is proven non-positive without being computed, so the
@@ -151,10 +152,11 @@ fn optimized_pipeline_matches_reference_strict_policy() {
     }
 }
 
-/// ~40 vendor-rich instances with the parallel threshold floored, so
-/// every arrival with ≥ 2 surviving vendors takes the parallel branch.
+/// ~40 vendor-rich instances on the default config, so arrivals with
+/// ≥ 2 surviving vendors take the sequential loop with its incumbent
+/// skip and shared-start memo.
 #[test]
-fn parallel_vendor_branch_matches_reference() {
+fn multi_vendor_loop_matches_reference() {
     let mut rng = StdRng::seed_from_u64(0xE9_0003);
     for case in 0..40u64 {
         let sc = ScenarioBuilder {
@@ -171,8 +173,8 @@ fn parallel_vendor_branch_matches_reference() {
         .build();
         assert_lockstep(
             &sc,
-            PdftspConfig::default().with_parallel_vendor_min(1),
-            &format!("parallel case {case}"),
+            PdftspConfig::default(),
+            &format!("multi-vendor case {case}"),
         );
     }
 }

@@ -94,10 +94,9 @@ fn fingerprint(out: &ServiceOutcome) -> Vec<u64> {
     fp
 }
 
-/// The headline contract: {1, 2, 4} phase-1 workers × {pipeline off,
-/// on} all replay the single-thread serial schedule bit-for-bit, with
-/// faults enabled. Worker override is process-global, so the whole
-/// sweep lives in one test.
+/// The headline contract: 1, 2 and 4 phase-1 workers all replay the
+/// single-thread schedule bit-for-bit, with faults enabled. Worker
+/// override is process-global, so the whole sweep lives in one test.
 #[test]
 fn worker_count_and_pipelining_never_change_the_schedule() {
     for wseed in [11u64, 23, 57] {
@@ -105,27 +104,18 @@ fn worker_count_and_pipelining_never_change_the_schedule() {
         let mut baseline: Option<Vec<u64>> = None;
         let mut disrupted = 0;
         for workers in [1usize, 2, 4] {
-            for pipeline in [false, true] {
-                let cfg = ServiceConfig {
-                    pipeline,
-                    ..service_cfg()
-                };
-                set_thread_override(Some(workers));
-                let out = AuctionService::run(&scenario, cfg, &plan);
-                set_thread_override(None);
-                let out = out.unwrap_or_else(|e| {
-                    panic!("seed {wseed}/{workers} workers/pipeline {pipeline}: {e}")
-                });
-                disrupted = out.disrupted;
-                let fp = fingerprint(&out);
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(expected) => assert_eq!(
-                        expected, &fp,
-                        "seed {wseed}: outcome diverged at {workers} workers, \
-                         pipeline {pipeline}"
-                    ),
-                }
+            set_thread_override(Some(workers));
+            let out = AuctionService::run(&scenario, service_cfg(), &plan);
+            set_thread_override(None);
+            let out = out.unwrap_or_else(|e| panic!("seed {wseed}/{workers} workers: {e}"));
+            disrupted = out.disrupted;
+            let fp = fingerprint(&out);
+            match &baseline {
+                None => baseline = Some(fp),
+                Some(expected) => assert_eq!(
+                    expected, &fp,
+                    "seed {wseed}: outcome diverged at {workers} workers"
+                ),
             }
         }
         // The sweep must actually exercise the fault path, not pass
@@ -136,9 +126,9 @@ fn worker_count_and_pipelining_never_change_the_schedule() {
 
 /// The same contract for the spot-market family: revocation-heavy runs
 /// (lease storms through the crash path, spot-priced grids, budget caps,
-/// pre-heated duals) are byte-identical across {1, 2, 4 workers} ×
-/// {pipeline off, on}, and the run must abort someone so the Eq. (14)
-/// refund path is inside the fingerprint.
+/// pre-heated duals) are byte-identical across 1, 2 and 4 workers, and
+/// the run must abort someone so the Eq. (14) refund path is inside the
+/// fingerprint.
 #[test]
 fn spot_revocations_replay_identically_across_workers_and_pipelining() {
     let mut any_aborted = false;
@@ -151,29 +141,23 @@ fn spot_revocations_replay_identically_across_workers_and_pipelining() {
         let mut baseline: Option<Vec<u64>> = None;
         let mut disrupted = 0;
         for workers in [1usize, 2, 4] {
-            for pipeline in [false, true] {
-                let cfg = ServiceConfig {
-                    pipeline,
-                    scheduler,
-                    ..service_cfg()
-                };
-                set_thread_override(Some(workers));
-                let out = AuctionService::run(&scenario, cfg, &plan);
-                set_thread_override(None);
-                let out = out.unwrap_or_else(|e| {
-                    panic!("seed {wseed}/{workers} workers/pipeline {pipeline}: {e}")
-                });
-                disrupted = out.disrupted;
-                any_aborted |= !out.aborted.is_empty();
-                let fp = fingerprint(&out);
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(expected) => assert_eq!(
-                        expected, &fp,
-                        "seed {wseed}: spot outcome diverged at {workers} workers, \
-                         pipeline {pipeline}"
-                    ),
-                }
+            let cfg = ServiceConfig {
+                scheduler,
+                ..service_cfg()
+            };
+            set_thread_override(Some(workers));
+            let out = AuctionService::run(&scenario, cfg, &plan);
+            set_thread_override(None);
+            let out = out.unwrap_or_else(|e| panic!("seed {wseed}/{workers} workers: {e}"));
+            disrupted = out.disrupted;
+            any_aborted |= !out.aborted.is_empty();
+            let fp = fingerprint(&out);
+            match &baseline {
+                None => baseline = Some(fp),
+                Some(expected) => assert_eq!(
+                    expected, &fp,
+                    "seed {wseed}: spot outcome diverged at {workers} workers"
+                ),
             }
         }
         assert!(
@@ -232,88 +216,34 @@ fn kill_and_resume_mid_run_rejoins_the_trajectory() {
     replay(&scenario, &resumed.decisions).expect("resumed decisions replay cleanly");
 }
 
-/// Kill-and-resume **mid-pipeline**: with pipelining on, dropping the
-/// service right after an epoch commit abandons in-flight pre-spawned
-/// epoch-(e+1) proposals on the worker pool. A rebuilt service must
-/// still re-join the exact trajectory — and the whole run must match a
-/// serial (non-pipelined) uninterrupted run bit-for-bit.
-#[test]
-fn kill_and_resume_mid_pipeline_rejoins_the_trajectory() {
-    let (scenario, plan) = faulted_case(23);
-    let serial_cfg = service_cfg();
-    let piped_cfg = ServiceConfig {
-        pipeline: true,
-        ..serial_cfg
-    };
-
-    let serial = AuctionService::run(&scenario, serial_cfg, &plan).expect("serial run");
-    assert!(serial.epochs >= 2, "need ≥ 2 epochs to cut between");
-    let cut = serial.epochs / 2;
-
-    // First incarnation: pipelined, killed (dropped) after `cut` epochs
-    // while its pre-spawned epoch-(cut) proposals are still in flight.
-    let mut first = AuctionService::new(&scenario, piped_cfg, &plan).expect("service");
-    for _ in 0..cut {
-        first.run_epoch().expect("epoch");
-    }
-    let digest_at_cut = first.global_digest();
-    drop(first);
-
-    // Second incarnation: pipelined again, replayed to the cut, then
-    // run to completion.
-    let mut second = AuctionService::new(&scenario, piped_cfg, &plan).expect("service");
-    for _ in 0..cut {
-        second.run_epoch().expect("epoch");
-    }
-    assert_eq!(
-        second.global_digest(),
-        digest_at_cut,
-        "rebuilt pipelined service diverged before the cut"
-    );
-    let resumed = second.finish().expect("finish");
-
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&resumed),
-        "pipelined kill-and-resume differs from the serial uninterrupted run"
-    );
-    replay(&scenario, &resumed.decisions).expect("resumed decisions replay cleanly");
-}
-
 /// Span determinism and causal coverage: the rendered Chrome trace is
-/// byte-identical across 1/2/4 phase-1 workers — and across pipeline
-/// on/off (span timestamps come from the sim clock, never the wall
-/// clock) — and every admitted task carries the full
+/// byte-identical across 1/2/4 phase-1 workers (span timestamps come
+/// from the sim clock, never the wall clock), and every admitted task
+/// carries the full
 /// `route -> propose -> commit` parent chain.
 #[test]
 fn span_trace_is_byte_identical_across_workers_and_covers_admissions() {
     let (scenario, plan) = faulted_case(23);
     let mut baseline: Option<(String, ServiceOutcome)> = None;
     for workers in [1usize, 2, 4] {
-        for pipeline in [false, true] {
-            let cfg = ServiceConfig {
-                pipeline,
-                ..service_cfg()
-            };
-            set_thread_override(Some(workers));
-            let out = AuctionService::with_observability(
-                &scenario,
-                cfg,
-                &plan,
-                Observability::with_spans(),
-            )
-            .and_then(AuctionService::finish);
-            set_thread_override(None);
-            let out = out.unwrap_or_else(|e| panic!("{workers} workers/pipeline {pipeline}: {e}"));
-            assert!(!out.spans.is_empty(), "spans enabled but none recorded");
-            let trace = chrome::render_trace(&out.spans);
-            match &baseline {
-                None => baseline = Some((trace, out)),
-                Some((expected, _)) => assert_eq!(
-                    expected, &trace,
-                    "chrome trace diverged at {workers} workers, pipeline {pipeline}"
-                ),
-            }
+        set_thread_override(Some(workers));
+        let out = AuctionService::with_observability(
+            &scenario,
+            service_cfg(),
+            &plan,
+            Observability::with_spans(),
+        )
+        .and_then(AuctionService::finish);
+        set_thread_override(None);
+        let out = out.unwrap_or_else(|e| panic!("{workers} workers: {e}"));
+        assert!(!out.spans.is_empty(), "spans enabled but none recorded");
+        let trace = chrome::render_trace(&out.spans);
+        match &baseline {
+            None => baseline = Some((trace, out)),
+            Some((expected, _)) => assert_eq!(
+                expected, &trace,
+                "chrome trace diverged at {workers} workers"
+            ),
         }
     }
 
