@@ -28,6 +28,9 @@ echo "==> bench_service smoke (sharded-service determinism, open-loop rates)"
 echo "==> bench_spot smoke (spot-market comparison + revocation determinism)"
 ./target/release/bench_spot --smoke
 
+echo "==> benchmark package tests (its own cargo package, builds the service API it calls)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -98,7 +98,7 @@ fn fingerprint(out: &ServiceOutcome) -> Vec<u64> {
 /// single-thread schedule bit-for-bit, with faults enabled. Worker
 /// override is process-global, so the whole sweep lives in one test.
 #[test]
-fn worker_count_and_pipelining_never_change_the_schedule() {
+fn worker_count_never_changes_the_schedule() {
     for wseed in [11u64, 23, 57] {
         let (scenario, plan) = faulted_case(wseed);
         let mut baseline: Option<Vec<u64>> = None;
@@ -130,7 +130,7 @@ fn worker_count_and_pipelining_never_change_the_schedule() {
 /// the run must abort someone so the Eq. (14) refund path is inside the
 /// fingerprint.
 #[test]
-fn spot_revocations_replay_identically_across_workers_and_pipelining() {
+fn spot_revocations_replay_identically_across_workers() {
     let mut any_aborted = false;
     for wseed in [11u64, 23, 57] {
         let (scenario, plan, scheduler) = spot_case(wseed);
