@@ -31,9 +31,9 @@
 //! artifact untouched.
 
 use pdftsp_cluster::{configured_threads, hardware_threads, set_thread_override};
-use pdftsp_core::{PdftspConfig, PreheatSpec};
+use pdftsp_core::PdftspConfig;
 use pdftsp_sim::{
-    lease_fault_plan, run_spot, AuctionService, ServiceConfig, ServiceOutcome, SpotMetrics,
+    run_spot, spot_instance, AuctionService, ServiceConfig, ServiceOutcome, SpotMetrics,
 };
 use pdftsp_types::Scenario;
 use pdftsp_workload::{ArrivalProcess, ScenarioBuilder, SpotSpec};
@@ -115,11 +115,12 @@ fn metrics_json(m: &SpotMetrics) -> String {
 /// identical spot-transformed instance.
 fn comparison_json(smoke: bool, seed: u64, spec: &SpotSpec) -> String {
     let base = scenario(smoke, seed);
-    let cmp = run_spot(&base, spec, PdftspConfig::default());
+    let spot = || run_spot(&base, spec, PdftspConfig::default()).expect("spot run");
+    let cmp = spot();
     // The comparison itself must be seed-stable.
     assert_eq!(
         cmp,
-        run_spot(&base, spec, PdftspConfig::default()),
+        spot(),
         "spot comparison is not deterministic (seed {seed})"
     );
     println!(
@@ -154,19 +155,17 @@ fn comparison_json(smoke: bool, seed: u64, spec: &SpotSpec) -> String {
 /// lease-derived fault plan through the sharded service at 1, 2 and 4
 /// workers — everything must be bit-identical.
 fn determinism_json(smoke: bool, spec: &SpotSpec) -> String {
-    let base = scenario(smoke, SEEDS[0]);
-    let sc = spec.apply(&base);
-    let leases = spec.lease_plan(sc.nodes.len(), sc.horizon);
-    let plan = lease_fault_plan(&leases, sc.horizon);
+    let spot = spot_instance(&scenario(smoke, SEEDS[0]), spec);
+    let (sc, plan) = (&spot.scenario, &spot.plan);
     assert!(
         !plan.events.is_empty(),
         "determinism sweep needs live revocations"
     );
     let shards = configured_threads().min(sc.nodes.len()).max(2);
-    let scheduler = PdftspConfig::default().with_preheat(PreheatSpec {
-        lookahead: spec.lookahead,
-        gain: spec.gain,
-    });
+    let scheduler = PdftspConfig {
+        preheat: spot.preheat,
+        ..PdftspConfig::default()
+    };
     let mut baseline: Option<(u64, u64, u64, u64)> = None;
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4] {
@@ -177,7 +176,7 @@ fn determinism_json(smoke: bool, spec: &SpotSpec) -> String {
             ..ServiceConfig::default()
         };
         set_thread_override(Some(threads));
-        let out = AuctionService::run(&sc, cfg, &plan).expect("service run");
+        let out = AuctionService::run(sc, cfg, plan).expect("service run");
         set_thread_override(None);
         let key = (
             out.welfare.social_welfare.to_bits(),

@@ -3,17 +3,16 @@
 
 use crate::args::{Cli, Command, ScenarioArgs, USAGE};
 use pdftsp_cluster::parallel_map;
-use pdftsp_core::PreheatSpec;
 use pdftsp_core::{probe_bid, Pdftsp, PdftspConfig};
 use pdftsp_lora::{CalibrationTable, TransformerConfig};
 use pdftsp_sim::{
-    empirical_ratio_with_telemetry, lease_fault_plan, partition_zones, render_gantt,
-    render_timeline, run_algo, run_pdftsp_instrumented, run_pdftsp_with_faults, run_scheduler,
-    run_spot, run_zoned, try_run_algo, write_dual_grid, Algo, AuctionService, FaultEvent,
-    FaultPlan, FaultSpec, FigureTable, Observability, RunResult, ServiceConfig, ServiceOutcome,
+    empirical_ratio_with_telemetry, partition_zones, render_gantt, render_timeline, run_algo,
+    run_pdftsp_instrumented, run_scheduler, run_spot, run_zoned, spot_instance, try_run_algo,
+    write_dual_grid, Algo, AuctionService, FaultEvent, FaultPlan, FaultSpec, FigureTable,
+    Observability, RunResult, ServiceConfig, ServiceOutcome,
 };
 use pdftsp_solver::milp::MilpConfig;
-use pdftsp_telemetry::{chrome, prometheus, JsonlSink, Stage, Telemetry};
+use pdftsp_telemetry::{chrome, prometheus, JsonlSink, Sink, Stage, Telemetry};
 use pdftsp_types::Scenario;
 use pdftsp_workload::{ScenarioBuilder, SpotSpec};
 use std::path::{Path, PathBuf};
@@ -313,38 +312,32 @@ fn serve_sim(scenario: &Scenario, cli: &Cli) -> String {
     // derives the revocation plan from the lease windows, and installs
     // the prediction pre-heat; revocations then flow through the same
     // two-phase-commit recovery path a `--faults` plan would.
-    let mut scheduler_cfg = PdftspConfig::default();
-    let (scenario, plan) = match &cli.spot {
-        Some(spec_text) => {
-            let spec = match SpotSpec::parse(spec_text) {
-                Ok(s) => s,
-                Err(e) => return format!("error: {e}\n"),
-            };
-            let transformed = spec.apply(scenario);
-            let leases = spec.lease_plan(transformed.nodes.len(), transformed.horizon);
-            let plan = lease_fault_plan(&leases, transformed.horizon);
-            scheduler_cfg.preheat = (spec.lookahead > 0).then_some(PreheatSpec {
-                lookahead: spec.lookahead,
-                gain: spec.gain,
-            });
-            (transformed, plan)
-        }
+    let spot = match cli.spot.as_deref().map(SpotSpec::parse) {
+        Some(Ok(spec)) => Some(spot_instance(scenario, &spec)),
+        Some(Err(e)) => return format!("error: {e}\n"),
+        None => None,
+    };
+    let fault_plan;
+    let (scenario, plan, preheat) = match &spot {
+        Some(inst) => (&inst.scenario, &inst.plan, inst.preheat),
         None => {
-            let plan = match &cli.faults {
+            fault_plan = match &cli.faults {
                 Some(spec_text) => match FaultSpec::parse(spec_text) {
                     Ok(spec) => FaultPlan::generate(scenario, &spec),
                     Err(e) => return format!("error: {e}\n"),
                 },
                 None => FaultPlan::none(),
             };
-            (scenario.clone(), plan)
+            (scenario, &fault_plan, None)
         }
     };
-    let scenario = &scenario;
     let cfg = ServiceConfig {
         shards: cli.service.shards,
         epoch_slots: cli.service.epoch,
-        scheduler: scheduler_cfg,
+        scheduler: PdftspConfig {
+            preheat,
+            ..PdftspConfig::default()
+        },
         open_loop_rate: cli.service.rate,
         ..ServiceConfig::default()
     };
@@ -352,8 +345,9 @@ fn serve_sim(scenario: &Scenario, cli: &Cli) -> String {
         spans: cli.trace_out.is_some(),
         flight_capacity: if cli.flight.is_some() { 4096 } else { 0 },
         flight_dir: cli.flight.as_ref().map(PathBuf::from),
+        ..Observability::default()
     };
-    let mut svc = match AuctionService::with_observability(scenario, cfg, &plan, obs) {
+    let mut svc = match AuctionService::with_observability(scenario, cfg, plan, obs) {
         Ok(svc) => svc,
         Err(e) => return format!("error: {e}\n"),
     };
@@ -674,32 +668,43 @@ gantt (digits = co-located tasks):
     out
 }
 
-/// `simulate --faults`: inject a seeded fault plan, run the recovery
-/// path, verify the recovered run against the replay oracle, and report
-/// refund-adjusted economics.
+/// `simulate --faults`: inject a seeded fault plan, run it through a
+/// one-shard auction service (whose settlement verifies the recovered
+/// run against the replay oracle), and report refund-adjusted
+/// economics. `--telemetry` streams the shard's events as JSONL.
 fn simulate_with_faults(scenario: &Scenario, algo: Algo, spec_text: &str, cli: &Cli) -> String {
-    if !matches!(
-        algo,
-        Algo::Pdftsp | Algo::PdftspMasked | Algo::PdftspReference
-    ) {
+    let Some(config) = pdftsp_config_for(algo) else {
         return "error: --faults requires a pdFTSP algorithm (--algo pdftsp)\n".to_string();
-    }
-    let config = pdftsp_config_for(algo).expect("pdFTSP family has a config");
+    };
     let spec = match FaultSpec::parse(spec_text) {
         Ok(s) => s,
         Err(e) => return format!("error: {e}\n"),
     };
-    let telemetry = match cli.telemetry.as_deref() {
+    let sink: Option<Arc<dyn Sink>> = match cli.telemetry.as_deref() {
         Some(p) => match JsonlSink::create(p) {
-            Ok(sink) => Telemetry::new(Arc::new(sink)),
+            Ok(sink) => Some(Arc::new(sink)),
             Err(e) => return format!("error: --telemetry {p}: {e}\n"),
         },
-        None => Telemetry::disabled(),
+        None => None,
     };
     let plan = FaultPlan::generate(scenario, &spec);
-    let (r, scheduler) = run_pdftsp_with_faults(scenario, config, &plan, telemetry);
-    if let Some(p) = &cli.telemetry {
-        if let Err(e) = scheduler.telemetry().sink().flush() {
+    let cfg = ServiceConfig {
+        shards: 1,
+        scheduler: config,
+        ..ServiceConfig::default()
+    };
+    let obs = Observability {
+        sink: sink.clone(),
+        ..Observability::default()
+    };
+    let r = match AuctionService::with_observability(scenario, cfg, &plan, obs)
+        .and_then(AuctionService::finish)
+    {
+        Ok(r) => r,
+        Err(e) => return format!("error: {e}\n"),
+    };
+    if let (Some(p), Some(sink)) = (&cli.telemetry, &sink) {
+        if let Err(e) = sink.flush() {
             return format!("error: --telemetry {p}: {e}\n");
         }
     }
@@ -713,10 +718,6 @@ fn simulate_with_faults(scenario: &Scenario, algo: Algo, spec_text: &str, cli: &
         .iter()
         .filter(|e| matches!(e, FaultEvent::Degrade { .. }))
         .count();
-    let replay_line = match pdftsp_sim::replay(scenario, &r.decisions) {
-        Ok(_) => "OK — recovered schedules respect capacity".to_string(),
-        Err(e) => format!("VIOLATION — {e}"),
-    };
     let stats = scenario.stats();
     let w = &r.welfare;
     let mut out = format!(
@@ -724,7 +725,7 @@ fn simulate_with_faults(scenario: &Scenario, algo: Algo, spec_text: &str, cli: &
          algorithm: pdFTSP with fault injection\n\
          fault plan       : {} crashes, {} degradations (outage {}, seed {})\n\
          disrupted        : {} task-disruptions, {} recovered, {} aborted\n\
-         replay           : {}\n\
+         replay           : OK — recovered schedules respect capacity\n\
          completed        : {}/{} (rejected {}, aborted {})\n\
          social welfare   : {:.2}\n\
          gross payments   : {:.2}\n\
@@ -744,7 +745,6 @@ fn simulate_with_faults(scenario: &Scenario, algo: Algo, spec_text: &str, cli: &
         r.disrupted,
         r.recovered,
         w.aborted,
-        replay_line,
         w.completed,
         stats.tasks,
         w.rejected,
@@ -774,18 +774,17 @@ fn simulate_with_faults(scenario: &Scenario, algo: Algo, spec_text: &str, cli: &
 /// through the recovery path, and print the pdFTSP-vs-baseline
 /// comparison on welfare, refund volume, and deadline-miss rate.
 fn simulate_spot(scenario: &Scenario, algo: Algo, spec_text: &str) -> String {
-    if !matches!(
-        algo,
-        Algo::Pdftsp | Algo::PdftspMasked | Algo::PdftspReference
-    ) {
+    let Some(config) = pdftsp_config_for(algo) else {
         return "error: --spot requires a pdFTSP algorithm (--algo pdftsp)\n".to_string();
-    }
-    let config = pdftsp_config_for(algo).expect("pdFTSP family has a config");
+    };
     let spec = match SpotSpec::parse(spec_text) {
         Ok(s) => s,
         Err(e) => return format!("error: {e}\n"),
     };
-    let cmp = run_spot(scenario, &spec, config);
+    let cmp = match run_spot(scenario, &spec, config) {
+        Ok(cmp) => cmp,
+        Err(e) => return format!("error: {e}\n"),
+    };
     let stats = scenario.stats();
     let mut out = format!(
         "scenario: {} tasks / {} nodes / {} slots (offered load {:.2})\n\
@@ -1045,6 +1044,33 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_a_task_arriving_after_its_deadline() {
+        let dir = std::env::temp_dir().join(format!("pdftsp-cli-window-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("scenario.txt");
+        let path = path.to_str().unwrap();
+        run_words(&format!(
+            "run --nodes 4 --slots 24 --mean 1 --seed 3 --save {path}"
+        ));
+        // Move the last task past the horizon (arrival order still holds)
+        // with its deadline at slot 5.
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let last = lines.iter().rposition(|l| l.starts_with("task ")).unwrap();
+        let mut fields: Vec<&str> = lines[last].split_whitespace().collect();
+        fields[2] = "30";
+        fields[3] = "5";
+        lines[last] = fields.join(" ");
+        std::fs::write(path, lines.join("\n") + "\n").unwrap();
+        for cmd in ["serve-sim", "run", "run --faults crashes=1"] {
+            let out = run_words(&format!("{cmd} --load {path}"));
+            assert!(out.starts_with("error:"), "{cmd}: {out}");
+            assert!(out.contains("precedes arrival 30"), "{cmd}: {out}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn load_missing_file_reports_error() {
         let out = run_words("simulate --load /nonexistent/path/xyz.txt");
         assert!(out.starts_with("error:"), "{out}");
@@ -1135,6 +1161,28 @@ mod tests {
             "run --nodes 4 --slots 24 --mean 3 --seed 11 --faults crashes=2,outage=4,seed=7",
         );
         assert_eq!(out, again);
+    }
+
+    #[test]
+    fn run_with_faults_streams_telemetry_events() {
+        let dir = std::env::temp_dir().join(format!("pdftsp-cli-faults-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let events = dir.join("events.jsonl");
+        let out = run_words(&format!(
+            "run --nodes 4 --slots 24 --mean 3 --seed 11 --faults crashes=2,outage=4,seed=7 \
+             --telemetry {}",
+            events.display()
+        ));
+        assert!(out.contains("telemetry events ->"), "{out}");
+        let text = std::fs::read_to_string(&events).unwrap();
+        let parsed = pdftsp_telemetry::parse_jsonl(&text).unwrap();
+        assert!(parsed
+            .iter()
+            .any(|e| matches!(e, pdftsp_telemetry::Event::NodeDown { .. })));
+        assert!(parsed
+            .iter()
+            .any(|e| matches!(e, pdftsp_telemetry::Event::TaskResubmitted { .. })));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

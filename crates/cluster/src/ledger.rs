@@ -449,6 +449,31 @@ impl CapacityLedger {
         Ok(())
     }
 
+    /// Degrades node `k` from slot `from` on: for each cell, up to
+    /// `frac` (clamped to `[0, 1]`) of its *total* capacity — compute
+    /// and adapter memory — is [`reserve`](CapacityLedger::reserve)d out
+    /// of the residual. Already-committed work is untouched. Returns the
+    /// total `(samples, GB)` actually reserved; `(0, 0.0)` when `k` is
+    /// out of range.
+    pub fn degrade(&mut self, k: NodeId, from: Slot, frac: f64) -> (u64, f64) {
+        if k >= self.nodes {
+            return (0, 0.0);
+        }
+        let frac = frac.clamp(0.0, 1.0);
+        let mut total_compute = 0u64;
+        let mut total_mem = 0.0f64;
+        for t in from.min(self.horizon)..self.horizon {
+            let compute =
+                ((self.compute_capacity(k) as f64 * frac) as u64).min(self.residual_compute(k, t));
+            let mem = (self.adapter_capacity(k) * frac).min(self.residual_memory(k, t));
+            if self.reserve(k, t, compute, mem).is_ok() {
+                total_compute += compute;
+                total_mem += mem;
+            }
+        }
+        (total_compute, total_mem)
+    }
+
     /// Marks node `k` as down from slot `from` on: every residual sample
     /// and memory unit on cells `(k, from..)` is held, so the masked DP
     /// and all `fits` checks treat the node as saturated. Call *after*
@@ -826,6 +851,25 @@ mod tests {
             l.reserve(5, 0, 1, 0.0),
             Err(LedgerError::OutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn degrade_reserves_a_capacity_fraction_capped_at_the_residual() {
+        let mut l = CapacityLedger::new(&scenario());
+        let t = task(600, 200, 10.0);
+        l.commit(&t, &Schedule::new(0, VendorQuote::none(), vec![(0, 3)]))
+            .unwrap();
+        // Half of 1000 samples and of 78 GB per cell from slot 2 on;
+        // slot 3 only has 400 samples left.
+        let (compute, mem) = l.degrade(0, 2, 0.5);
+        assert_eq!(compute, 500 + 400 + 500 + 500);
+        assert!((mem - 4.0 * 39.0).abs() < 1e-9);
+        assert_eq!(l.residual_compute(0, 1), 1000);
+        assert_eq!(l.residual_compute(0, 2), 500);
+        assert_eq!(l.residual_compute(0, 3), 0);
+        // The fraction is clamped; off-cluster nodes reserve nothing.
+        assert_eq!(l.degrade(1, 0, 1.5).0, 6 * 400);
+        assert_eq!(l.degrade(7, 0, 0.5), (0, 0.0));
     }
 
     #[test]

@@ -267,15 +267,6 @@ impl PdftspConfig {
     pub fn with_kernel(self, kernel: KernelChoice) -> Self {
         PdftspConfig { kernel, ..self }
     }
-
-    /// Enables prediction-driven dual pre-heating.
-    #[must_use]
-    pub fn with_preheat(self, preheat: PreheatSpec) -> Self {
-        PdftspConfig {
-            preheat: Some(preheat),
-            ..self
-        }
-    }
 }
 
 #[cfg(test)]

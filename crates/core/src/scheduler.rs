@@ -662,31 +662,14 @@ impl Pdftsp {
         true
     }
 
-    /// Degrades node `k` from slot `from` on: for each cell, up to
-    /// `frac` of its *total* capacity (compute and adapter memory) is
-    /// reserved out of the residual, shrinking what future admissions can
-    /// use. Already-committed work is untouched — degradation throttles
-    /// the future, it does not evict the present. Returns the total
-    /// `(samples, GB)` actually reserved.
+    /// Degrades node `k` from slot `from` on ([`CapacityLedger::degrade`]):
+    /// up to `frac` of each cell's total capacity is reserved out of the
+    /// residual, shrinking what future admissions can use. Already-
+    /// committed work is untouched — degradation throttles the future,
+    /// it does not evict the present. Returns the total `(samples, GB)`
+    /// actually reserved.
     pub fn degrade_node(&mut self, k: usize, from: Slot, frac: f64) -> (u64, f64) {
-        let frac = frac.clamp(0.0, 1.0);
-        let horizon = self.ledger.horizon();
-        if k >= self.ledger.nodes() {
-            return (0, 0.0);
-        }
-        let mut total_compute = 0u64;
-        let mut total_mem = 0.0f64;
-        for t in from.min(horizon)..horizon {
-            let compute = ((self.ledger.compute_capacity(k) as f64 * frac) as u64)
-                .min(self.ledger.residual_compute(k, t));
-            let mem =
-                (self.ledger.adapter_capacity(k) * frac).min(self.ledger.residual_memory(k, t));
-            if self.ledger.reserve(k, t, compute, mem).is_ok() {
-                total_compute += compute;
-                total_mem += mem;
-            }
-        }
-        (total_compute, total_mem)
+        self.ledger.degrade(k, from, frac)
     }
 
     /// Re-runs the Algorithm 1 auction for a disrupted task's remnant

@@ -1,11 +1,11 @@
-//! Fault injection and recovery: node crashes, recoveries, and capacity
-//! degradation driven through the pdFTSP auction loop.
+//! Fault injection and recovery: the plan types, crash recovery and
+//! settlement that the auction service ([`crate::service`]) runs.
 //!
 //! The clean-room driver ([`crate::driver`]) assumes every admitted
 //! schedule runs to completion. This module drops that assumption: a
 //! seeded [`FaultPlan`] injects node failures between arrivals, and the
-//! run loop recovers from them with the same primal-dual machinery the
-//! paper uses online —
+//! service's per-shard epoch loop recovers from them with the same
+//! primal-dual machinery the paper uses online —
 //!
 //! 1. **Release.** Every disrupted task's not-yet-executed placements
 //!    (slot ≥ failure, on *any* node) are returned to the ledger; the
@@ -25,12 +25,14 @@
 //!    with the duals snapshotted at the original admission, the rest
 //!    refunded.
 //!
+//! This module holds no run loop: a single-process faulted run is an
+//! [`AuctionService`](crate::service::AuctionService) with one shard.
 //! Everything is deterministic per seed: the plan, the recovery order
 //! (task-id order), and the auction itself — the chaos suite asserts the
 //! refund-adjusted welfare reproduces bit-for-bit.
 
-use pdftsp_core::{Pdftsp, PdftspConfig};
-use pdftsp_telemetry::{Event, Span, Telemetry};
+use pdftsp_core::Pdftsp;
+use pdftsp_telemetry::{Event, Span};
 use pdftsp_types::{AuctionOutcome, Decision, NodeId, Rejection, Scenario, Schedule, Slot, TaskId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,31 +245,10 @@ pub struct FaultWelfare {
     pub rejected: usize,
 }
 
-/// Outcome of one faulted run.
-#[derive(Debug, Clone)]
-pub struct FaultRunResult {
-    /// One decision per task in id order. Completed tasks appear admitted
-    /// with their final (possibly recovery-merged) schedule and original
-    /// payment; aborted tasks appear rejected with
-    /// [`Rejection::InsufficientCapacity`].
-    pub decisions: Vec<Decision>,
-    /// The plan that was injected.
-    pub plan: FaultPlan,
-    /// Task disruptions processed (a task disrupted twice counts twice).
-    pub disrupted: usize,
-    /// Disruptions whose remnant was re-admitted.
-    pub recovered: usize,
-    /// Tasks that could not be recovered, with their settlements.
-    pub aborted: Vec<AbortedTask>,
-    /// Refund-adjusted welfare.
-    pub welfare: FaultWelfare,
-}
-
-/// One capacity-ledger mutation performed during a (possibly sharded)
-/// faulted run, recorded in application order.
+/// One capacity-ledger mutation performed during a service run,
+/// recorded in application order.
 ///
-/// The single-process fault loop applies these directly; the sharded
-/// auction service (`crate::service`) has its phase-1 shard workers
+/// The auction service (`crate::service`) has its phase-1 shard workers
 /// record them against their shard-local ledgers and its phase-2
 /// coordinator replay them — node ids remapped to global — against the
 /// data-center ledger in deterministic epoch order. Because shards own
@@ -312,7 +293,7 @@ pub(crate) enum LedgerOp {
     },
 }
 
-/// Per-task progress through the faulted run.
+/// Per-task progress through a faulted run.
 #[derive(Debug, Clone)]
 pub(crate) enum TaskState {
     /// Not yet arrived.
@@ -331,92 +312,10 @@ pub(crate) enum TaskState {
     Aborted { decide_seconds: f64 },
 }
 
-/// Runs pdFTSP over `scenario` with `plan`'s faults injected between
-/// arrivals, recovering disrupted tasks through the auction. Returns the
-/// run outcome and the scheduler (final duals, ledger, counters).
-///
-/// Fault events at slot `s` apply before slot-`s` arrivals, so arriving
-/// tasks bid against the post-fault cluster.
-#[must_use]
-pub fn run_pdftsp_with_faults(
-    scenario: &Scenario,
-    config: PdftspConfig,
-    plan: &FaultPlan,
-    telemetry: Telemetry,
-) -> (FaultRunResult, Pdftsp) {
-    let mut pdftsp = Pdftsp::with_telemetry(scenario, config, telemetry);
-    let mut states: Vec<TaskState> = vec![TaskState::Pending; scenario.tasks.len()];
-    let mut disrupted_total = 0usize;
-    let mut recovered_total = 0usize;
-    let mut aborted: Vec<AbortedTask> = Vec::new();
-    let mut next_task = 0usize;
-
-    for slot in 0..scenario.horizon {
-        for ev in plan.events.iter().filter(|e| e.slot() == slot) {
-            match *ev {
-                FaultEvent::NodeUp { node, slot } => {
-                    pdftsp.restore_node(node, slot);
-                }
-                FaultEvent::Degrade { node, slot, frac } => {
-                    pdftsp.degrade_node(node, slot, frac);
-                }
-                FaultEvent::NodeDown { node, slot } => {
-                    // The single-process loop mutates its one ledger
-                    // directly; the op log only matters to the sharded
-                    // service's two-phase commit.
-                    let mut ops = Vec::new();
-                    let (d, r) = handle_crash(
-                        &mut pdftsp,
-                        scenario,
-                        &mut states,
-                        &mut aborted,
-                        node,
-                        slot,
-                        &mut ops,
-                    );
-                    disrupted_total += d;
-                    recovered_total += r;
-                }
-            }
-        }
-        while next_task < scenario.tasks.len() && scenario.tasks[next_task].arrival == slot {
-            let task = &scenario.tasks[next_task];
-            let decision = pdftsp.decide(task, scenario);
-            states[task.id] = match decision.outcome {
-                AuctionOutcome::Admitted {
-                    ref schedule,
-                    payment,
-                } => TaskState::Active {
-                    schedule: schedule.clone(),
-                    payment,
-                    decide_seconds: decision.decide_seconds,
-                },
-                AuctionOutcome::Rejected(_) => TaskState::Rejected(decision),
-            };
-            next_task += 1;
-        }
-    }
-    debug_assert_eq!(next_task, scenario.tasks.len(), "tasks outside horizon");
-
-    let (decisions, welfare) = settle(scenario, &states, &aborted);
-    (
-        FaultRunResult {
-            decisions,
-            plan: plan.clone(),
-            disrupted: disrupted_total,
-            recovered: recovered_total,
-            aborted,
-            welfare,
-        },
-        pdftsp,
-    )
-}
-
 /// Crash recovery: release disrupted suffixes, quarantine the node, then
 /// resubmit every disrupted task's remnant through the auction. Returns
 /// `(disruptions, recoveries)`. Every ledger mutation is also appended
-/// to `ops` so the sharded service can replay it against the global
-/// ledger; the single-process caller passes a scratch vector.
+/// to `ops` so the service can replay it against the global ledger.
 pub(crate) fn handle_crash(
     pdftsp: &mut Pdftsp,
     scenario: &Scenario,
@@ -713,44 +612,5 @@ mod tests {
         // on this many draws; pinned seeds keep it deterministic).
         let c = FaultPlan::generate(&sc, &FaultSpec { seed: 6, ..spec });
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn faulted_run_settles_and_balances() {
-        let sc = ScenarioBuilder::smoke(31).build();
-        let spec = FaultSpec {
-            crashes: 3,
-            outage: 4,
-            degrade: 0.0,
-            seed: 17,
-        };
-        let plan = FaultPlan::generate(&sc, &spec);
-        let (r, pdftsp) =
-            run_pdftsp_with_faults(&sc, PdftspConfig::default(), &plan, Telemetry::disabled());
-        assert_eq!(r.decisions.len(), sc.tasks.len());
-        assert_eq!(
-            r.welfare.completed + r.welfare.aborted + r.welfare.rejected,
-            sc.tasks.len()
-        );
-        // Welfare identity under refunds.
-        assert!(
-            (r.welfare.social_welfare - (r.welfare.user_utility + r.welfare.provider_utility))
-                .abs()
-                < 1e-9
-        );
-        // Per-abort settlement: refund + consumed = original charge ≥ 0.
-        for a in &r.aborted {
-            assert!(a.refund >= 0.0 && a.consumed >= 0.0, "task {}", a.task);
-        }
-        let c = &pdftsp.telemetry().counters;
-        assert_eq!(c.read(&c.node_failures) as usize, plan_downs(&plan));
-        assert!(c.read(&c.tasks_resubmitted) >= r.aborted.len() as u64);
-    }
-
-    fn plan_downs(plan: &FaultPlan) -> usize {
-        plan.events
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::NodeDown { .. }))
-            .count()
     }
 }

@@ -16,17 +16,20 @@
 //!   the offline optimum from `pdftsp-solver`, plus the parallel
 //!   multi-instance sweep driver behind Fig. 12/13 ([`ratio_sweep`]);
 //! * [`faults`] — seeded node-failure injection ([`faults::FaultPlan`])
-//!   and the recovery run loop ([`faults::run_pdftsp_with_faults`]):
-//!   ledger release, quarantine, remnant resubmission, and Eq. (14)
-//!   consumed-resource refunds;
-//! * [`service`] — the sharded auction service: per-shard dual grids
-//!   and ledger slices, epoch-batched admission with deterministic
-//!   routing, and an epoch-ordered two-phase commit against the global
-//!   fixed-point ledger (bit-identical for any worker count);
-//! * [`spot`] — spot-market runs: lease revocations mapped onto the
-//!   fault path, budget-capped bidders, and the
-//!   pdFTSP-vs-deadline-aware comparison (welfare, refund volume,
-//!   deadline-miss rate) behind `bench_spot`;
+//!   and the recovery machinery the service runs: ledger release,
+//!   quarantine, remnant resubmission, and Eq. (14) consumed-resource
+//!   refunds, plus refund-adjusted settlement;
+//! * [`service`] — the sharded auction service and the only run loop
+//!   that applies faults: per-shard dual grids and ledger slices,
+//!   epoch-batched admission with deterministic routing, and an
+//!   epoch-ordered two-phase commit against the global fixed-point
+//!   ledger (bit-identical for any worker count). Single-process faulted
+//!   and spot runs are this service with one shard;
+//! * [`spot`] — spot-market runs: the spot instance ([`spot_instance`]:
+//!   re-priced scenario, lease revocations mapped onto the fault path,
+//!   pre-heat), budget-capped bidders, and the pdFTSP-vs-deadline-aware
+//!   comparison (welfare, refund volume, deadline-miss rate) behind
+//!   `bench_spot`;
 //! * [`zones`] — multi-model data-center zones (one independent market
 //!   per pre-trained model, as the paper's Section 2.1 sketches);
 //! * [`report`] — figure tables with normalization and text/CSV rendering.
@@ -50,16 +53,16 @@ pub use driver::{
     run_algo, run_pdftsp_instrumented, run_scheduler, try_run_algo, try_run_scheduler, Algo,
     RunError, RunResult,
 };
-pub use faults::{
-    run_pdftsp_with_faults, AbortedTask, FaultEvent, FaultPlan, FaultRunResult, FaultSpec,
-    FaultWelfare,
-};
+pub use faults::{AbortedTask, FaultEvent, FaultPlan, FaultSpec, FaultWelfare};
 pub use report::FigureTable;
 pub use service::{
     AuctionService, EpochReport, Observability, ServiceConfig, ServiceError, ServiceOutcome,
     ShardStats,
 };
-pub use spot::{lease_fault_plan, run_spot, spot_sweep, SpotComparison, SpotMetrics, SpotSweep};
+pub use spot::{
+    lease_fault_plan, run_spot, spot_instance, spot_sweep, SpotComparison, SpotInstance,
+    SpotMetrics, SpotSweep,
+};
 pub use timeline::{render_gantt, render_timeline, replay};
 pub use welfare::WelfareReport;
 pub use zones::{partition_zones, run_zoned, Zone, ZonedOutcome};

@@ -40,11 +40,18 @@
 //! outputs are latency *measurements* (`decide_seconds`, admission
 //! histograms), which never feed back into decisions.
 //!
-//! Fault tolerance rides through unchanged: the per-shard loop applies
-//! [`FaultPlan`] events (mapped to the owning shard) exactly like the
-//! single-process [`crate::faults`] loop — recoveries, degradations,
-//! then crashes, before same-slot arrivals — and reuses its release /
-//! quarantine / resubmit / refund machinery verbatim.
+//! Fault tolerance: the per-shard loop applies [`FaultPlan`] events
+//! (mapped to the owning shard) in the plan's within-slot order —
+//! recoveries, degradations, then crashes, before same-slot arrivals —
+//! through the release / quarantine / resubmit / refund machinery of
+//! [`crate::faults`].
+//!
+//! **One loop.** `ShardState::propose` is the workspace's only per-slot
+//! loop that applies fault events. A single-process faulted or spot run
+//! (`pdftsp run --faults`/`--spot`, [`crate::spot::run_spot`], the chaos
+//! and spot suites) is this service with `shards: 1`: one shard decides
+//! the same tasks in the same order for any `epoch_slots`, and a
+//! one-item [`try_parallel_map`] runs inline on the caller.
 
 use crate::faults::{
     handle_crash, settle, AbortedTask, FaultEvent, FaultPlan, FaultWelfare, LedgerOp, TaskState,
@@ -99,7 +106,7 @@ impl Default for ServiceConfig {
 /// Observability knobs for a service run. The default is everything
 /// off — identical cost and behavior to the pre-observability service
 /// ([`Telemetry::disabled`] on every shard).
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Observability {
     /// Collect task-lifecycle spans (route/propose/commit/settle and
     /// fault_recover) into [`ServiceOutcome::spans`].
@@ -109,6 +116,25 @@ pub struct Observability {
     /// Directory crash dumps are written to (`flightrec-shard<k>.jsonl`).
     /// `None` keeps the ring in memory only.
     pub flight_dir: Option<PathBuf>,
+    /// The caller's event sink, teed onto every shard's telemetry beside
+    /// the span log and flight recorder: it receives every scheduler,
+    /// fault and span event the shards emit (e.g. a
+    /// [`pdftsp_telemetry::JsonlSink`] for `--telemetry`). The caller
+    /// keeps its own handle to flush it after the run. With one shard
+    /// the stream is in decision order; with more, events from
+    /// different shards interleave in nondeterministic order.
+    pub sink: Option<Arc<dyn Sink>>,
+}
+
+impl std::fmt::Debug for Observability {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Observability")
+            .field("spans", &self.spans)
+            .field("flight_capacity", &self.flight_capacity)
+            .field("flight_dir", &self.flight_dir)
+            .field("sink", &self.sink.is_some())
+            .finish()
+    }
 }
 
 impl Observability {
@@ -124,7 +150,7 @@ impl Observability {
     /// Whether any sink must be attached to shard telemetry.
     #[must_use]
     fn any_enabled(&self) -> bool {
-        self.spans || self.flight_capacity > 0
+        self.spans || self.flight_capacity > 0 || self.sink.is_some()
     }
 }
 
@@ -168,7 +194,7 @@ pub enum ServiceError {
     },
     /// Fault event `index` sorts before its predecessor: the plan is not
     /// in `(slot, kind, node)` order, so the per-shard event cursors
-    /// would skip events the single-process fault loop applies.
+    /// would skip events.
     FaultPlanUnsorted {
         /// Position of the first out-of-order event in the plan.
         index: usize,
@@ -287,8 +313,10 @@ pub struct EpochReport {
 /// Outcome of a full service run.
 #[derive(Debug)]
 pub struct ServiceOutcome {
-    /// One decision per task in id order — identical in content to a
-    /// single-process faulted run over the same routing.
+    /// One decision per task in id order. Completed tasks appear
+    /// admitted with their final (possibly recovery-merged) schedule and
+    /// original payment; aborted tasks appear rejected with
+    /// [`pdftsp_types::Rejection::InsufficientCapacity`].
     pub decisions: Vec<Decision>,
     /// Refund-adjusted welfare across all shards.
     pub welfare: FaultWelfare,
@@ -713,8 +741,9 @@ impl<'a> AuctionService<'a> {
                 .map(|t| t.id)
                 .collect();
             // Shard telemetry: disabled unless observability asks for a
-            // span log and/or flight recorder, in which case the sinks
-            // are teed together and the span context pinned to the shard.
+            // span log, a flight recorder and/or the caller's sink, in
+            // which case the sinks are teed together and the span
+            // context pinned to the shard.
             let flight = (obs.flight_capacity > 0).then(|| {
                 Arc::new(match &obs.flight_dir {
                     Some(dir) => {
@@ -731,6 +760,9 @@ impl<'a> AuctionService<'a> {
                 }
                 if let Some(log) = &span_log {
                     sinks.push(log.clone() as Arc<dyn Sink>);
+                }
+                if let Some(sink) = &obs.sink {
+                    sinks.push(sink.clone());
                 }
                 let tel = if sinks.len() == 1 {
                     Telemetry::new(sinks.pop().expect("one sink"))
@@ -977,9 +1009,9 @@ impl<'a> AuctionService<'a> {
     }
 
     /// Replays one shard-local op against the global ledger, remapping
-    /// node ids. Commits validate atomically; quarantine/degrade mirror
-    /// the scheduler's own arithmetic over identical residuals, so the
-    /// global ledger tracks every shard ledger exactly.
+    /// node ids. Commits validate atomically; quarantine/degrade run the
+    /// same ledger methods the shard schedulers run over identical
+    /// residuals, so the global ledger tracks every shard ledger exactly.
     fn apply_global(&mut self, shard: usize, op: &LedgerOp) -> Result<(), ServiceError> {
         let base = self.map.spec(shard).node_base;
         match op {
@@ -1013,16 +1045,7 @@ impl<'a> AuctionService<'a> {
                 Ok(())
             }
             LedgerOp::Degrade { node, from, frac } => {
-                let k = *node + base;
-                let from = *from;
-                let frac = frac.clamp(0.0, 1.0);
-                for t in from.min(self.global.horizon())..self.global.horizon() {
-                    let compute = ((self.global.compute_capacity(k) as f64 * frac) as u64)
-                        .min(self.global.residual_compute(k, t));
-                    let mem = (self.global.adapter_capacity(k) * frac)
-                        .min(self.global.residual_memory(k, t));
-                    let _ = self.global.reserve(k, t, compute, mem);
-                }
+                self.global.degrade(*node + base, *from, *frac);
                 Ok(())
             }
         }
@@ -1207,7 +1230,7 @@ impl<'a> AuctionService<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{run_pdftsp_with_faults, FaultSpec};
+    use crate::faults::FaultSpec;
     use pdftsp_workload::ScenarioBuilder;
 
     fn scenario() -> Scenario {
@@ -1265,27 +1288,167 @@ mod tests {
         assert_eq!(out.epochs, sc.horizon.div_ceil(5));
     }
 
+    /// Outcome of [`oracle_run`].
+    struct Oracle {
+        decisions: Vec<Decision>,
+        welfare: FaultWelfare,
+        disrupted: usize,
+        recovered: usize,
+        pdftsp: Pdftsp,
+    }
+
+    /// Reference per-slot fault loop: one scheduler over the whole
+    /// scenario, and in every slot the plan's events, then the slot's
+    /// arrivals. No routing, epochs, op log or global ledger — the
+    /// independent oracle a one-shard service must reproduce.
+    fn oracle_run(sc: &Scenario, config: PdftspConfig, plan: &FaultPlan) -> Oracle {
+        let mut pdftsp = Pdftsp::with_telemetry(sc, config, Telemetry::disabled());
+        let mut states = vec![TaskState::Pending; sc.tasks.len()];
+        let mut aborted = Vec::new();
+        let (mut disrupted, mut recovered) = (0, 0);
+        let mut ops = Vec::new();
+        let mut next_task = 0;
+        for slot in 0..sc.horizon {
+            for ev in plan.events.iter().filter(|e| e.slot() == slot) {
+                match *ev {
+                    FaultEvent::NodeUp { node, slot } => {
+                        pdftsp.restore_node(node, slot);
+                    }
+                    FaultEvent::Degrade { node, slot, frac } => {
+                        pdftsp.degrade_node(node, slot, frac);
+                    }
+                    FaultEvent::NodeDown { node, slot } => {
+                        let (d, r) = handle_crash(
+                            &mut pdftsp,
+                            sc,
+                            &mut states,
+                            &mut aborted,
+                            node,
+                            slot,
+                            &mut ops,
+                        );
+                        disrupted += d;
+                        recovered += r;
+                    }
+                }
+            }
+            while next_task < sc.tasks.len() && sc.tasks[next_task].arrival == slot {
+                let task = &sc.tasks[next_task];
+                let decision = pdftsp.decide(task, sc);
+                states[task.id] = match decision.outcome {
+                    AuctionOutcome::Admitted {
+                        ref schedule,
+                        payment,
+                    } => TaskState::Active {
+                        schedule: schedule.clone(),
+                        payment,
+                        decide_seconds: decision.decide_seconds,
+                    },
+                    AuctionOutcome::Rejected(_) => TaskState::Rejected(decision),
+                };
+                next_task += 1;
+            }
+        }
+        let (decisions, welfare) = settle(sc, &states, &aborted);
+        Oracle {
+            decisions,
+            welfare,
+            disrupted,
+            recovered,
+            pdftsp,
+        }
+    }
+
+    fn welfare_bits(w: &FaultWelfare) -> Vec<u64> {
+        vec![
+            w.completed_bid_value.to_bits(),
+            w.payments.to_bits(),
+            w.refunds.to_bits(),
+            w.vendor_cost.to_bits(),
+            w.energy_cost.to_bits(),
+            w.social_welfare.to_bits(),
+            w.provider_utility.to_bits(),
+            w.user_utility.to_bits(),
+            w.completed as u64,
+            w.aborted as u64,
+            w.rejected as u64,
+        ]
+    }
+
     #[test]
     fn single_shard_service_matches_the_faulted_run_exactly() {
-        // With one shard the service is the PR-4 fault loop plus the
-        // commit protocol: welfare must agree to the bit.
+        // With one shard the service is the oracle's per-slot loop plus
+        // the commit protocol: every decision, welfare bit and the final
+        // ledger must agree, clean or faulted, for any epoch length.
         let sc = scenario();
-        let plan = plan(&sc);
-        let out = AuctionService::run(&sc, cfg(1), &plan).unwrap();
-        let (reference, _) =
-            run_pdftsp_with_faults(&sc, PdftspConfig::default(), &plan, Telemetry::disabled());
+        let mut disrupted = 0;
+        for plan in [FaultPlan::none(), plan(&sc)] {
+            let reference = oracle_run(&sc, PdftspConfig::default(), &plan);
+            disrupted += reference.disrupted;
+            for epoch_slots in [1, 5, sc.horizon] {
+                let cfg = ServiceConfig {
+                    epoch_slots,
+                    ..cfg(1)
+                };
+                let out = AuctionService::run(&sc, cfg, &plan).unwrap();
+                let at = format!("{} events, {epoch_slots} slots/epoch", plan.events.len());
+                assert_eq!(out.decisions.len(), reference.decisions.len(), "{at}");
+                for (got, want) in out.decisions.iter().zip(&reference.decisions) {
+                    assert_eq!(got.task, want.task, "{at}");
+                    assert_eq!(got.outcome, want.outcome, "{at}: task {}", got.task);
+                    assert_eq!(got.payment().to_bits(), want.payment().to_bits(), "{at}");
+                }
+                assert_eq!(
+                    welfare_bits(&out.welfare),
+                    welfare_bits(&reference.welfare),
+                    "{at}"
+                );
+                assert_eq!(out.disrupted, reference.disrupted, "{at}");
+                assert_eq!(out.recovered, reference.recovered, "{at}");
+                assert_eq!(
+                    out.ledger_digest,
+                    reference.pdftsp.ledger().state_digest(),
+                    "{at}"
+                );
+            }
+        }
+        assert!(disrupted > 0, "the faulted plan must disrupt someone");
+    }
+
+    #[test]
+    fn faulted_run_settles_and_balances() {
+        let sc = ScenarioBuilder::smoke(31).build();
+        let spec = FaultSpec {
+            crashes: 3,
+            outage: 4,
+            degrade: 0.0,
+            seed: 17,
+        };
+        let plan = FaultPlan::generate(&sc, &spec);
+        let r = AuctionService::run(&sc, cfg(1), &plan).unwrap();
+        assert_eq!(r.decisions.len(), sc.tasks.len());
         assert_eq!(
-            out.welfare.social_welfare.to_bits(),
-            reference.welfare.social_welfare.to_bits()
+            r.welfare.completed + r.welfare.aborted + r.welfare.rejected,
+            sc.tasks.len()
         );
-        assert_eq!(
-            out.welfare.payments.to_bits(),
-            reference.welfare.payments.to_bits()
+        // Welfare identity under refunds.
+        assert!(
+            (r.welfare.social_welfare - (r.welfare.user_utility + r.welfare.provider_utility))
+                .abs()
+                < 1e-9
         );
-        assert_eq!(out.welfare.completed, reference.welfare.completed);
-        assert_eq!(out.welfare.aborted, reference.welfare.aborted);
-        assert_eq!(out.disrupted, reference.disrupted);
-        assert_eq!(out.recovered, reference.recovered);
+        // Per-abort settlement: refund + consumed = original charge ≥ 0.
+        for a in &r.aborted {
+            assert!(a.refund >= 0.0 && a.consumed >= 0.0, "task {}", a.task);
+        }
+        let downs = plan
+            .events
+            .iter()
+            .filter(|e| matches!(e, FaultEvent::NodeDown { .. }))
+            .count();
+        let shard = &r.per_shard[0];
+        assert_eq!(shard.node_failures as usize, downs);
+        assert!(shard.tasks_resubmitted >= r.aborted.len() as u64);
     }
 
     #[test]
@@ -1351,7 +1514,7 @@ mod tests {
             Err(ServiceError::FaultNodeOutOfRange { index: 0, node, nodes: n })
                 if node == nodes && n == nodes
         ));
-        // Slot 9 before slot 4: the single-process loop applies both, a
+        // Slot 9 before slot 4: the oracle loop applies both, a
         // shard cursor would skip the second.
         let unsorted = FaultPlan {
             events: vec![

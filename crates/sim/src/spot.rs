@@ -6,7 +6,10 @@
 //! view: [`lease_fault_plan`] maps each [`LeasePlan`] window onto the
 //! `NodeDown`/`NodeUp` events of [`crate::faults`], so quarantine,
 //! remnant resubmission, and the Eq. (14) consumed-prefix refunds apply
-//! verbatim — single-process and sharded-service runs alike.
+//! verbatim. [`spot_instance`] is the one place a spot run is assembled
+//! (re-priced scenario, leases, fault plan, pre-heat); every spot path
+//! then runs it through the [`AuctionService`] — one shard for
+//! [`run_spot`], any number for `serve-sim --spot`.
 //!
 //! The comparison is asymmetric by design, mirroring how the two
 //! systems would really operate on spot capacity:
@@ -24,11 +27,11 @@
 //! volume, and deadline-miss rate are directly comparable.
 
 use crate::driver::run_scheduler;
-use crate::faults::{run_pdftsp_with_faults, FaultEvent, FaultPlan};
+use crate::faults::{FaultEvent, FaultPlan};
+use crate::service::{AuctionService, ServiceConfig, ServiceError};
 use pdftsp_baselines::DeadlineAware;
 use pdftsp_cluster::{effective_workers, parallel_map};
 use pdftsp_core::{PdftspConfig, PreheatSpec};
-use pdftsp_telemetry::Telemetry;
 use pdftsp_types::{AuctionOutcome, Rejection, Scenario, Schedule};
 use pdftsp_workload::SpotSpec;
 
@@ -37,7 +40,7 @@ pub use pdftsp_cluster::{LeasePlan, NodeLease};
 /// Maps lease revocations onto fault events: each window becomes a
 /// `NodeDown` at its revoke slot and (when the node comes back inside
 /// the horizon) a `NodeUp` at its restore slot, sorted in the fault
-/// loop's canonical within-slot order.
+/// plan's canonical within-slot order.
 #[must_use]
 pub fn lease_fault_plan(leases: &LeasePlan, horizon: usize) -> FaultPlan {
     let mut events = Vec::with_capacity(leases.leases.len() * 2);
@@ -58,6 +61,42 @@ pub fn lease_fault_plan(leases: &LeasePlan, horizon: usize) -> FaultPlan {
     }
     events.sort_by_key(FaultEvent::order);
     FaultPlan { events }
+}
+
+/// A spot-market instance: the transformed scenario and everything that
+/// drives a run over it.
+#[derive(Debug, Clone)]
+pub struct SpotInstance {
+    /// The base scenario re-priced and budget-capped per the spec.
+    pub scenario: Scenario,
+    /// The revocation windows drawn for the scenario's nodes.
+    pub leases: LeasePlan,
+    /// The windows as `NodeDown`/`NodeUp` fault events.
+    pub plan: FaultPlan,
+    /// Dual pre-heating from the spec's prediction knobs: `None` when
+    /// `lookahead = 0` (the documented "off"), otherwise the spec's
+    /// lookahead and gain.
+    pub preheat: Option<PreheatSpec>,
+}
+
+/// Builds the spot instance of `base` per `spec`: [`SpotSpec::apply`],
+/// then the lease plan over the transformed scenario, its fault plan,
+/// and the pre-heat setting a pdFTSP run over it installs.
+#[must_use]
+pub fn spot_instance(base: &Scenario, spec: &SpotSpec) -> SpotInstance {
+    let scenario = spec.apply(base);
+    let leases = spec.lease_plan(scenario.nodes.len(), scenario.horizon);
+    let plan = lease_fault_plan(&leases, scenario.horizon);
+    let preheat = (spec.lookahead > 0).then_some(PreheatSpec {
+        lookahead: spec.lookahead,
+        gain: spec.gain,
+    });
+    SpotInstance {
+        scenario,
+        leases,
+        plan,
+        preheat,
+    }
 }
 
 /// The three comparison metrics of the spot benchmark, for one system.
@@ -96,26 +135,31 @@ pub struct SpotComparison {
     pub budget_rejections: usize,
 }
 
-/// Runs the spot comparison on `base`: transforms it per `spec`
-/// (re-priced grid, budget caps), derives the revocation plan, and runs
-/// both systems over the identical instance.
+/// Runs the spot comparison on `base`: builds the [`spot_instance`]
+/// and runs both systems over it — pdFTSP as a one-shard
+/// [`AuctionService`].
 ///
-/// `config.preheat` is overridden from the spec's prediction knobs:
-/// `lookahead = 0` disables pre-heating, anything else installs a
-/// [`PreheatSpec`] with the spec's gain. The baseline receives the same
-/// lookahead for its congestion reserve.
-#[must_use]
-pub fn run_spot(base: &Scenario, spec: &SpotSpec, config: PdftspConfig) -> SpotComparison {
-    let scenario = spec.apply(base);
-    let leases = spec.lease_plan(scenario.nodes.len(), scenario.horizon);
-    let plan = lease_fault_plan(&leases, scenario.horizon);
-
-    let mut cfg = config;
-    cfg.preheat = (spec.lookahead > 0).then_some(PreheatSpec {
-        lookahead: spec.lookahead,
-        gain: spec.gain,
-    });
-    let (run, _) = run_pdftsp_with_faults(&scenario, cfg, &plan, Telemetry::disabled());
+/// `config.preheat` is overridden by [`SpotInstance::preheat`]. The
+/// baseline receives the spec's lookahead (at least 1) for its
+/// congestion reserve.
+///
+/// # Errors
+/// The service's, e.g. [`ServiceError::Shard`] for a node-less scenario.
+pub fn run_spot(
+    base: &Scenario,
+    spec: &SpotSpec,
+    config: PdftspConfig,
+) -> Result<SpotComparison, ServiceError> {
+    let spot = spot_instance(base, spec);
+    let cfg = ServiceConfig {
+        shards: 1,
+        scheduler: PdftspConfig {
+            preheat: spot.preheat,
+            ..config
+        },
+        ..ServiceConfig::default()
+    };
+    let run = AuctionService::run(&spot.scenario, cfg, &spot.plan)?;
     let denom = run.welfare.completed + run.welfare.aborted;
     let budget_rejections = run
         .decisions
@@ -137,15 +181,20 @@ pub fn run_spot(base: &Scenario, spec: &SpotSpec, config: PdftspConfig) -> SpotC
         rejected: run.welfare.rejected,
     };
 
-    let baseline = run_baseline_under_leases(&scenario, &leases, spec.lookahead.max(1));
+    let baseline = run_baseline_under_leases(&spot.scenario, &spot.leases, spec.lookahead.max(1));
 
-    SpotComparison {
+    Ok(SpotComparison {
         pdftsp,
         baseline,
-        revocations: leases.leases.len(),
-        capped_bidders: scenario.tasks.iter().filter(|t| t.budget.is_some()).count(),
+        revocations: spot.leases.leases.len(),
+        capped_bidders: spot
+            .scenario
+            .tasks
+            .iter()
+            .filter(|t| t.budget.is_some())
+            .count(),
         budget_rejections,
-    }
+    })
 }
 
 /// Runs the deadline-aware baseline clean over `scenario`, then drops
@@ -229,10 +278,20 @@ pub struct SpotSweep {
 
 /// Runs [`run_spot`] over every scenario concurrently — instances are
 /// independent, results return in input order regardless of completion
-/// order (same contract as [`crate::ratio_sweep`]).
-#[must_use]
-pub fn spot_sweep(scenarios: &[Scenario], spec: &SpotSpec, config: PdftspConfig) -> SpotSweep {
-    let comparisons = parallel_map(scenarios, |sc| run_spot(sc, spec, config));
+/// order (same contract as [`crate::ratio_sweep`]). Each run's one-shard
+/// service proposes inline on its sweep worker, so the sweep never
+/// nests on the pool.
+///
+/// # Errors
+/// The first instance's [`run_spot`] error, in input order.
+pub fn spot_sweep(
+    scenarios: &[Scenario],
+    spec: &SpotSpec,
+    config: PdftspConfig,
+) -> Result<SpotSweep, ServiceError> {
+    let comparisons = parallel_map(scenarios, |sc| run_spot(sc, spec, config))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let total_refunds = comparisons.iter().map(|c| c.pdftsp.refund_volume).sum();
     let max_miss_rate = comparisons
         .iter()
@@ -242,13 +301,13 @@ pub fn spot_sweep(scenarios: &[Scenario], spec: &SpotSpec, config: PdftspConfig)
         .iter()
         .filter(|c| c.pdftsp.social_welfare > c.baseline.social_welfare)
         .count();
-    SpotSweep {
+    Ok(SpotSweep {
         comparisons,
         total_refunds,
         max_miss_rate,
         pdftsp_wins,
         workers: effective_workers(scenarios.len()),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -299,9 +358,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_lookahead_turns_preheat_off() {
+        let base = ScenarioBuilder::smoke(3).build();
+        let on = spot_instance(&base, &spec());
+        assert_eq!(
+            on.preheat,
+            Some(PreheatSpec {
+                lookahead: spec().lookahead,
+                gain: spec().gain,
+            })
+        );
+        assert_eq!(on.plan, lease_fault_plan(&on.leases, on.scenario.horizon));
+        let off = SpotSpec {
+            lookahead: 0,
+            ..spec()
+        };
+        assert_eq!(spot_instance(&base, &off).preheat, None);
+    }
+
+    #[test]
     fn spot_run_settles_both_systems_on_the_same_instance() {
         let base = ScenarioBuilder::smoke(19).build();
-        let cmp = run_spot(&base, &spec(), PdftspConfig::default());
+        let cmp = run_spot(&base, &spec(), PdftspConfig::default()).unwrap();
         let n = base.tasks.len();
         assert_eq!(
             cmp.pdftsp.completed + cmp.pdftsp.aborted + cmp.pdftsp.rejected,
@@ -322,8 +400,8 @@ mod tests {
     #[test]
     fn spot_run_is_deterministic() {
         let base = ScenarioBuilder::smoke(7).build();
-        let a = run_spot(&base, &spec(), PdftspConfig::default());
-        let b = run_spot(&base, &spec(), PdftspConfig::default());
+        let a = run_spot(&base, &spec(), PdftspConfig::default()).unwrap();
+        let b = run_spot(&base, &spec(), PdftspConfig::default()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -334,7 +412,7 @@ mod tests {
             leases: 0,
             ..spec()
         };
-        let cmp = run_spot(&base, &quiet, PdftspConfig::default());
+        let cmp = run_spot(&base, &quiet, PdftspConfig::default()).unwrap();
         assert_eq!(cmp.revocations, 0);
         assert_eq!(cmp.pdftsp.refund_volume, 0.0);
         assert_eq!(cmp.pdftsp.deadline_miss_rate, 0.0);
@@ -348,10 +426,10 @@ mod tests {
             ScenarioBuilder::smoke(3).build(),
             ScenarioBuilder::smoke(4).build(),
         ];
-        let sw = spot_sweep(&scenarios, &spec(), PdftspConfig::default());
+        let sw = spot_sweep(&scenarios, &spec(), PdftspConfig::default()).unwrap();
         assert_eq!(sw.comparisons.len(), 2);
         for (sc, got) in scenarios.iter().zip(&sw.comparisons) {
-            let solo = run_spot(sc, &spec(), PdftspConfig::default());
+            let solo = run_spot(sc, &spec(), PdftspConfig::default()).unwrap();
             assert_eq!(*got, solo);
         }
         assert!(sw.workers >= 1);

@@ -383,6 +383,20 @@ mod tests {
     }
 
     #[test]
+    fn task_arriving_after_its_deadline_is_rejected() {
+        // Arrival 9 keeps the arrival order and deadline 5 sits inside
+        // the horizon: only the window check can refuse it.
+        let text = save(&sample()).replace("task 1 2 9", "task 1 9 5");
+        assert_eq!(
+            load(&text).unwrap_err(),
+            TypesError::DeadlineBeforeArrival {
+                arrival: 9,
+                deadline: 5
+            }
+        );
+    }
+
+    #[test]
     fn truncated_task_line_fails() {
         let text = "pdftsp-scenario v1\nhorizon 4\nbase_model_gb 1.0\nnode 0 a100 10 80.0\ntask 0 0 3 100\n";
         assert!(load(text).is_err());

@@ -78,7 +78,8 @@ impl Scenario {
     /// # Errors
     /// Returns a [`TypesError`] describing the first violated invariant:
     /// grid dimensions, task ordering/ids, rate-vector lengths, quote
-    /// consistency with `f_i`, and task windows inside the horizon.
+    /// consistency with `f_i`, and task windows `a_i ≤ d_i` inside the
+    /// horizon.
     pub fn validate(&self) -> Result<(), TypesError> {
         if self.cost.nodes() != self.nodes.len() || self.cost.horizon() != self.horizon {
             return Err(TypesError::InvalidScenario(format!(
@@ -136,6 +137,12 @@ impl Scenario {
                 )));
             }
             prev_arrival = task.arrival;
+            if task.arrival > task.deadline {
+                return Err(TypesError::DeadlineBeforeArrival {
+                    arrival: task.arrival,
+                    deadline: task.deadline,
+                });
+            }
             if task.deadline >= self.horizon {
                 return Err(TypesError::InvalidScenario(format!(
                     "task {idx} deadline {} outside horizon {}",
@@ -250,6 +257,20 @@ mod tests {
         let mut s = tiny();
         s.tasks[1].deadline = 10;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn arrival_after_deadline_fails() {
+        let mut s = tiny();
+        s.tasks[1].arrival = 9;
+        s.tasks[1].deadline = 4;
+        assert_eq!(
+            s.validate(),
+            Err(TypesError::DeadlineBeforeArrival {
+                arrival: 9,
+                deadline: 4
+            })
+        );
     }
 
     #[test]

@@ -22,6 +22,14 @@ grep -q "replay           : OK" /tmp/pdftsp-faults-a.txt
 cmp /tmp/pdftsp-faults-a.txt /tmp/pdftsp-faults-b.txt
 rm -f /tmp/pdftsp-faults-a.txt /tmp/pdftsp-faults-b.txt
 
+echo "==> fault-injection telemetry smoke (service event sink, deterministic JSONL)"
+# No event field reads the wall clock, so the stream is byte-stable.
+./target/release/pdftsp "${fault_args[@]}" --telemetry /tmp/pdftsp-faults-a.jsonl > /dev/null
+./target/release/pdftsp "${fault_args[@]}" --telemetry /tmp/pdftsp-faults-b.jsonl > /dev/null
+grep -q '"ev":"node_down"' /tmp/pdftsp-faults-a.jsonl
+cmp /tmp/pdftsp-faults-a.jsonl /tmp/pdftsp-faults-b.jsonl
+rm -f /tmp/pdftsp-faults-a.jsonl /tmp/pdftsp-faults-b.jsonl
+
 echo "==> bench_service smoke (sharded-service determinism, open-loop rates)"
 ./target/release/bench_service --smoke
 

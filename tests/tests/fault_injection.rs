@@ -1,17 +1,16 @@
-//! Chaos suite: seeded fault plans driven through the recovery path, with
-//! the outcome held against ground truth — the replay oracle, a fresh
-//! capacity ledger, the outage windows themselves, and the refund-adjusted
-//! welfare identity. Plus the seeded ledger round-trip property test
+//! Chaos suite: seeded fault plans driven through the auction service's
+//! recovery path at one and three shards, with the outcome held against
+//! ground truth — the replay oracle, a fresh capacity ledger, the outage
+//! windows themselves, and the refund-adjusted welfare identity. Plus the seeded ledger round-trip property test
 //! (commit → release restores every residual bit-for-bit, including the
 //! shared base-replica bookkeeping on emptied nodes).
 
 use pdftsp_cluster::CapacityLedger;
-use pdftsp_core::PdftspConfig;
 use pdftsp_sim::{
-    replay, run_pdftsp_with_faults, AuctionService, FaultEvent, FaultPlan, FaultRunResult,
-    FaultSpec, Observability, ServiceConfig,
+    replay, AuctionService, FaultEvent, FaultPlan, FaultSpec, Observability, ServiceConfig,
+    ServiceOutcome,
 };
-use pdftsp_telemetry::{parse_jsonl, Event, Telemetry};
+use pdftsp_telemetry::{parse_jsonl, Event};
 use pdftsp_types::{Scenario, Schedule, Slot};
 use pdftsp_workload::ScenarioBuilder;
 use rand::rngs::StdRng;
@@ -50,15 +49,23 @@ fn chaos_cases() -> Vec<(u64, FaultSpec)> {
     ]
 }
 
-fn run_case(workload_seed: u64, spec: &FaultSpec) -> (Scenario, FaultPlan, FaultRunResult) {
+/// Shard counts every chaos case runs at: the single-process
+/// configuration and a sharded one (the smoke cluster has 4 nodes).
+const SHARDS: [usize; 2] = [1, 3];
+
+fn run_case(
+    workload_seed: u64,
+    spec: &FaultSpec,
+    shards: usize,
+) -> (Scenario, FaultPlan, ServiceOutcome) {
     let scenario = ScenarioBuilder::smoke(workload_seed).build();
     let plan = FaultPlan::generate(&scenario, spec);
-    let (result, _) = run_pdftsp_with_faults(
-        &scenario,
-        PdftspConfig::default(),
-        &plan,
-        Telemetry::disabled(),
-    );
+    let cfg = ServiceConfig {
+        shards,
+        ..ServiceConfig::default()
+    };
+    let result = AuctionService::run(&scenario, cfg, &plan)
+        .unwrap_or_else(|e| panic!("seed {workload_seed}/{shards} shards: {e}"));
     (scenario, plan, result)
 }
 
@@ -85,14 +92,17 @@ fn outage_windows(scenario: &Scenario, plan: &FaultPlan) -> Vec<(usize, Slot, Sl
 #[test]
 fn chaos_plans_replay_with_zero_capacity_violations() {
     let mut total_disrupted = 0;
-    for (wseed, spec) in chaos_cases() {
-        let (scenario, plan, r) = run_case(wseed, &spec);
+    for ((wseed, spec), shards) in chaos_cases()
+        .into_iter()
+        .flat_map(|case| SHARDS.map(|n| (case, n)))
+    {
+        let (scenario, plan, r) = run_case(wseed, &spec, shards);
         total_disrupted += r.disrupted;
 
         // The replay oracle accepts every recovered decision: schedules
         // valid, capacity constraints (4f)/(4g) respected, work complete.
-        replay(&scenario, &r.decisions)
-            .unwrap_or_else(|e| panic!("seed {wseed}/{}: replay refused: {e}", spec.seed));
+        let case = format!("seed {wseed}/{} at {shards} shards", spec.seed);
+        replay(&scenario, &r.decisions).unwrap_or_else(|e| panic!("{case}: replay refused: {e}"));
 
         // Committed consumption — completed schedules plus the executed
         // prefixes of aborted tasks — fits a fresh ledger with no
@@ -102,13 +112,13 @@ fn chaos_plans_replay_with_zero_capacity_violations() {
             if let Some(s) = d.schedule() {
                 ledger
                     .commit(&scenario.tasks[d.task], s)
-                    .unwrap_or_else(|e| panic!("seed {wseed}: completed overflows: {e}"));
+                    .unwrap_or_else(|e| panic!("{case}: completed overflows: {e}"));
             }
         }
         for a in &r.aborted {
             ledger
                 .commit(&scenario.tasks[a.task], &a.prefix)
-                .unwrap_or_else(|e| panic!("seed {wseed}: aborted prefix overflows: {e}"));
+                .unwrap_or_else(|e| panic!("{case}: aborted prefix overflows: {e}"));
         }
 
         // Nothing ever runs on a node inside one of its outage windows.
@@ -124,7 +134,7 @@ fn chaos_plans_replay_with_zero_capacity_violations() {
                 for &(node, down, up) in &windows {
                     assert!(
                         k != node || t < down || t >= up,
-                        "seed {wseed}: task {} occupies node {node} at slot {t} \
+                        "{case}: task {} occupies node {node} at slot {t} \
                          inside outage [{down}, {up})",
                         s.task
                     );
@@ -139,7 +149,7 @@ fn chaos_plans_replay_with_zero_capacity_violations() {
         assert_eq!(w.aborted, r.aborted.len());
         assert!(
             (w.social_welfare - (w.user_utility + w.provider_utility)).abs() < 1e-9,
-            "seed {wseed}: welfare unbalanced: {w:?}"
+            "{case}: welfare unbalanced: {w:?}"
         );
         assert!(w.refunds >= 0.0 && w.payments >= w.refunds, "{w:?}");
         for a in &r.aborted {
@@ -153,9 +163,12 @@ fn chaos_plans_replay_with_zero_capacity_violations() {
 
 #[test]
 fn fault_welfare_reproduces_bit_for_bit() {
-    for (wseed, spec) in chaos_cases() {
-        let (_, plan_a, a) = run_case(wseed, &spec);
-        let (_, plan_b, b) = run_case(wseed, &spec);
+    for ((wseed, spec), shards) in chaos_cases()
+        .into_iter()
+        .flat_map(|case| SHARDS.map(|n| (case, n)))
+    {
+        let (_, plan_a, a) = run_case(wseed, &spec, shards);
+        let (_, plan_b, b) = run_case(wseed, &spec, shards);
         assert_eq!(plan_a, plan_b, "plan generation must be deterministic");
         let wa = &a.welfare;
         let wb = &b.welfare;
@@ -171,11 +184,12 @@ fn fault_welfare_reproduces_bit_for_bit() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "seed {wseed}: {name} differs across identical runs"
+                "seed {wseed}/{shards} shards: {name} differs across identical runs"
             );
         }
         assert_eq!(a.disrupted, b.disrupted);
         assert_eq!(a.recovered, b.recovered);
+        assert_eq!(a.ledger_digest, b.ledger_digest);
         assert_eq!(a.decisions.len(), b.decisions.len());
         for (da, db) in a.decisions.iter().zip(&b.decisions) {
             assert_eq!(da.is_admitted(), db.is_admitted());
@@ -275,6 +289,7 @@ fn flight_recorder_dumps_on_injected_crash_and_replays() {
         spans: true,
         flight_capacity: 1024,
         flight_dir: Some(dir.clone()),
+        ..Observability::default()
     };
     let out = AuctionService::with_observability(&scenario, cfg, &plan, obs)
         .and_then(AuctionService::finish)

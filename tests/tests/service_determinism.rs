@@ -4,9 +4,9 @@
 //! must re-join the exact trajectory of an uninterrupted run.
 
 use pdftsp_cluster::set_thread_override;
-use pdftsp_core::{PdftspConfig, PreheatSpec};
+use pdftsp_core::PdftspConfig;
 use pdftsp_sim::{
-    lease_fault_plan, replay, AuctionService, FaultPlan, FaultSpec, Observability, ServiceConfig,
+    replay, spot_instance, AuctionService, FaultPlan, FaultSpec, Observability, ServiceConfig,
     ServiceOutcome,
 };
 use pdftsp_telemetry::{chrome, Stage};
@@ -36,14 +36,12 @@ fn spot_case(workload_seed: u64) -> (Scenario, FaultPlan, PdftspConfig) {
         seed: 33,
         ..SpotSpec::default()
     };
-    let scenario = spec.apply(&base);
-    let leases = spec.lease_plan(scenario.nodes.len(), scenario.horizon);
-    let plan = lease_fault_plan(&leases, scenario.horizon);
-    let scheduler = PdftspConfig::default().with_preheat(PreheatSpec {
-        lookahead: spec.lookahead,
-        gain: spec.gain,
-    });
-    (scenario, plan, scheduler)
+    let spot = spot_instance(&base, &spec);
+    let scheduler = PdftspConfig {
+        preheat: spot.preheat,
+        ..PdftspConfig::default()
+    };
+    (spot.scenario, spot.plan, scheduler)
 }
 
 fn service_cfg() -> ServiceConfig {

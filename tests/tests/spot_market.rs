@@ -6,13 +6,17 @@
 //! scenarios carry spot-priced grids and budget-capped bidders.
 
 use pdftsp_cluster::CapacityLedger;
-use pdftsp_core::{PdftspConfig, PreheatSpec};
-use pdftsp_sim::{lease_fault_plan, run_pdftsp_with_faults, FaultPlan, FaultRunResult};
-use pdftsp_telemetry::Telemetry;
+use pdftsp_core::PdftspConfig;
+use pdftsp_sim::{
+    spot_instance, AuctionService, FaultPlan, Observability, ServiceConfig, ServiceOutcome,
+};
+use pdftsp_telemetry::{Event, Sink};
 use pdftsp_types::{Scenario, Schedule};
 use pdftsp_workload::{ScenarioBuilder, SpotSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// A lease storm: far more revocation attempts than nodes, so the run
 /// spends most of its horizon recovering.
@@ -25,47 +29,72 @@ fn storm_spec(seed: u64) -> SpotSpec {
     }
 }
 
-fn storm_case(workload_seed: u64, spot_seed: u64) -> (Scenario, FaultPlan, FaultRunResult) {
+/// The auction log as the event stream tells it: every task's first
+/// `Admitted` payment — the original admission, before any recovery
+/// re-admission of a remnant.
+#[derive(Default)]
+struct AdmissionLog(Mutex<HashMap<usize, f64>>);
+
+impl Sink for AdmissionLog {
+    fn emit(&self, event: &Event) {
+        if let Event::Admitted { task, payment, .. } = *event {
+            self.0
+                .lock()
+                .expect("admission log poisoned")
+                .entry(task)
+                .or_insert(payment);
+        }
+    }
+}
+
+fn storm_case(workload_seed: u64, spot_seed: u64) -> (Scenario, FaultPlan, ServiceOutcome) {
     let base = ScenarioBuilder::smoke(workload_seed).build();
-    let spec = storm_spec(spot_seed);
-    let scenario = spec.apply(&base);
-    let leases = spec.lease_plan(scenario.nodes.len(), scenario.horizon);
-    let plan = lease_fault_plan(&leases, scenario.horizon);
-    let cfg = PdftspConfig::default().with_preheat(PreheatSpec {
-        lookahead: spec.lookahead,
-        gain: spec.gain,
-    });
-    let (result, pdftsp) = run_pdftsp_with_faults(&scenario, cfg, &plan, Telemetry::disabled());
+    let spot = spot_instance(&base, &storm_spec(spot_seed));
+    let cfg = ServiceConfig {
+        shards: 1,
+        scheduler: PdftspConfig {
+            preheat: spot.preheat,
+            ..PdftspConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let log = Arc::new(AdmissionLog::default());
+    let obs = Observability {
+        sink: Some(log.clone()),
+        ..Observability::default()
+    };
+    let result = AuctionService::with_observability(&spot.scenario, cfg, &spot.plan, obs)
+        .and_then(AuctionService::finish)
+        .unwrap_or_else(|e| panic!("seed {workload_seed}/{spot_seed}: {e}"));
 
     // Eq. (14) settlement property, checked against the *auction log*
     // rather than the settlement's own arithmetic: the refund plus the
     // consumed-prefix charge must reproduce the original admission
     // payment exactly, and the refund alone can never exceed it.
+    let admitted = log.0.lock().expect("admission log poisoned");
     for a in &result.aborted {
-        let original = pdftsp
-            .records()
-            .iter()
-            .find(|r| r.task == a.task && r.admitted)
-            .unwrap_or_else(|| panic!("aborted task {} has no admission record", a.task));
+        let original = *admitted
+            .get(&a.task)
+            .unwrap_or_else(|| panic!("aborted task {} has no admission event", a.task));
         assert!(a.refund >= 0.0, "task {}: negative refund", a.task);
         assert!(a.consumed >= 0.0, "task {}: negative charge", a.task);
         assert!(
-            a.refund <= original.payment + 1e-9,
+            a.refund <= original + 1e-9,
             "task {}: refund {} exceeds original payment {}",
             a.task,
             a.refund,
-            original.payment
+            original
         );
         assert!(
-            (a.refund + a.consumed - original.payment).abs() < 1e-9,
+            (a.refund + a.consumed - original).abs() < 1e-9,
             "task {}: refund {} + consumed {} != payment {}",
             a.task,
             a.refund,
             a.consumed,
-            original.payment
+            original
         );
     }
-    (scenario, plan, result)
+    (spot.scenario, spot.plan, result)
 }
 
 /// Storms of lease revocations never produce a refund above the original
