@@ -53,11 +53,7 @@ pub struct TitanConfig {
 impl Default for TitanConfig {
     fn default() -> Self {
         TitanConfig {
-            milp: MilpConfig {
-                node_limit: 25,
-                time_limit_secs: 2.0,
-                ..MilpConfig::default()
-            },
+            milp: MilpConfig { node_limit: 25 },
             max_nodes_per_task: 4,
             exact_var_limit: 400,
         }

@@ -1,13 +1,13 @@
 //! Emits `BENCH_milp.json` in the working directory: wall-time and work counters
 //! of the overhauled offline-optimum solver (sparse warm-started simplex,
-//! wave-parallel branch-and-bound, MILP presolve) against the retained
+//! sequential best-bound branch-and-bound, MILP presolve) against the retained
 //! seed-state dense reference engine, on Fig. 12-scale instances.
 //!
 //! Methodology (see EXPERIMENTS.md "Offline MILP benchmark"): each engine
 //! solves the same offline encodings `REPS` times; every solve contributes
 //! one wall-time sample. Both engines run the identical branch-and-bound
-//! search policy (best-bound, most-fractional, same limits), so matching
-//! objectives within `gap_tol` is asserted, not hoped for — a divergence
+//! search policy (best-bound, most-fractional, same node limit), so matching
+//! objectives within `GAP_TOL` is asserted, not hoped for — a divergence
 //! aborts the benchmark. Telemetry counters (nodes, LP solves, warm-start
 //! hit rate, pivots, dense fallbacks) come from the optimized engine's
 //! always-on tallies.
@@ -16,7 +16,7 @@
 //! the artifact write — wired into `scripts/verify.sh` so CI exercises
 //! both engines without timing flakiness.
 
-use pdftsp_solver::milp::MilpConfig;
+use pdftsp_solver::milp::{MilpConfig, GAP_TOL};
 use pdftsp_solver::offline::{
     offline_optimum_reference, offline_optimum_with_telemetry, OfflineResult,
 };
@@ -153,14 +153,14 @@ fn work_json(w: &SolverWork) -> String {
 }
 
 /// Asserts the optimized engine's incumbent matches the reference within
-/// the configured gap tolerance (the PR's equivalence criterion).
-fn assert_equivalent(name: &str, opt: &OfflineResult, reference: &OfflineResult, gap_tol: f64) {
+/// the solver's gap tolerance (the equivalence criterion).
+fn assert_equivalent(name: &str, opt: &OfflineResult, reference: &OfflineResult) {
     let a = opt.welfare.unwrap_or(0.0);
     let b = reference.welfare.unwrap_or(0.0);
-    let slack = gap_tol * (1.0 + b.abs());
+    let slack = GAP_TOL * (1.0 + b.abs());
     assert!(
         (a - b).abs() <= slack,
-        "{name}: optimized welfare {a} vs reference {b} exceeds gap_tol slack {slack}"
+        "{name}: optimized welfare {a} vs reference {b} exceeds GAP_TOL slack {slack}"
     );
     // Bounds must dominate both incumbents (soundness of either engine).
     assert!(
@@ -175,10 +175,6 @@ fn assert_equivalent(name: &str, opt: &OfflineResult, reference: &OfflineResult,
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let base = MilpConfig {
-        time_limit_secs: 30.0,
-        ..MilpConfig::default()
-    };
 
     let instances: Vec<Instance> = if smoke {
         vec![instance("smoke", 8, 0.3, 4242, 60)]
@@ -215,7 +211,6 @@ fn main() {
         let (name, sc) = (inst.name, &inst.sc);
         let milp = MilpConfig {
             node_limit: inst.node_limit,
-            ..base
         };
         // Fresh telemetry per instance; counters accumulate over the
         // (identical) reps and are scaled back to one solve below.
@@ -223,7 +218,7 @@ fn main() {
         let (mut opt_samples, opt_r) =
             time_engine(reps, || offline_optimum_with_telemetry(sc, &milp, &tel));
         let (mut ref_samples, ref_r) = time_engine(reps, || offline_optimum_reference(sc, &milp));
-        assert_equivalent(name, &opt_r, &ref_r, milp.gap_tol);
+        assert_equivalent(name, &opt_r, &ref_r);
 
         let mut per_rep = SolverWork::from_telemetry(&tel);
         // The telemetry accumulated over `reps` identical solves; scale
@@ -294,7 +289,7 @@ fn main() {
     );
 
     if smoke {
-        println!("smoke ok: engines agree within gap_tol; artifact not written");
+        println!("smoke ok: engines agree within GAP_TOL; artifact not written");
         return;
     }
 
@@ -306,7 +301,7 @@ fn main() {
             "  \"emitter\": \"bench_milp\",\n",
             "  \"reps\": {},\n",
             "  \"hardware_threads\": {},\n",
-            "  \"milp\": {{\"time_limit_secs\": {:.1}, \"gap_tol\": {:e}, \"wave\": {}, \"deterministic\": {}}},\n",
+            "  \"milp\": {{\"gap_tol\": {:e}}},\n",
             "  \"instances\": {{\n",
             "{}\n",
             "  }},\n",
@@ -324,10 +319,7 @@ fn main() {
         ),
         reps,
         threads,
-        base.time_limit_secs,
-        base.gap_tol,
-        base.wave,
-        base.deterministic,
+        GAP_TOL,
         rows.join(",\n"),
         instances.len(),
         certified_opt,

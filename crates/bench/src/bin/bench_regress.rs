@@ -1,6 +1,7 @@
 //! CI bench-regression gate: compares freshly emitted `BENCH_sched.json`
-//! / `BENCH_service.json` / `BENCH_spot.json` headline numbers against
-//! the committed baselines and exits nonzero on a real regression.
+//! / `BENCH_service.json` / `BENCH_spot.json` / `BENCH_milp.json`
+//! headline numbers against the committed baselines and exits nonzero on
+//! a real regression.
 //!
 //! Usage: `bench_regress --baseline DIR --fresh DIR`
 //!
@@ -9,10 +10,15 @@
 //! * **fail** — `speedup_p50` / `speedup_mean` dropping more than 25%
 //!   below baseline, span-path overhead (`overhead_frac`) growing
 //!   beyond `baseline × 1.25 + 0.02`, and pool dispatch overhead
-//!   (`pool_ns_per_task`) growing beyond `baseline × 1.25 + 300 ns`;
-//! * **warn** — absolute throughput (`sustained_decisions_per_s`) and
+//!   (`pool_ns_per_task`) growing beyond `baseline × 1.25 + 300 ns`, and
+//!   any offline-MILP `welfare` / `upper_bound` drifting by more than
+//!   `1e-6 × (1 + |baseline|)` (the search stops on its node budget
+//!   alone, so these are host-independent);
+//! * **warn** — absolute throughput (`sustained_decisions_per_s`),
 //!   determinism digests (`welfare_bits` / `ledger_digest` /
-//!   `decision_fingerprint`), which are host- and thread-count-shaped.
+//!   `decision_fingerprint`), which are host- and thread-count-shaped,
+//!   and MILP work counts (`milp_nodes` / `lp_solves` /
+//!   `simplex_pivots`), which move with any solver change.
 //!   Setting `PDFTSP_BENCH_STRICT=1` promotes warnings to failures.
 //!
 //! The parser is a dependency-free key scanner: for every occurrence of
@@ -32,6 +38,9 @@ const OVERHEAD_ABS_SLACK: f64 = 0.02;
 /// Absolute slack for the pool dispatch-overhead gate: per-task
 /// nanoseconds are dominated by scheduler jitter at the low end.
 const POOL_NS_ABS_SLACK: f64 = 300.0;
+/// Relative drift allowed in an offline-MILP objective or bound: the
+/// emitter prints six decimals, so this absorbs only print rounding.
+const MILP_REL_DRIFT: f64 = 1e-6;
 
 /// Every numeric value following `"key":`, in document order.
 fn numbers_for(text: &str, key: &str) -> Vec<f64> {
@@ -276,6 +285,41 @@ fn check_spot(gate: &mut Gate, base: &str, fresh: &str) {
     }
 }
 
+fn check_milp(gate: &mut Gate, base: &str, fresh: &str) {
+    let file = "BENCH_milp.json";
+    // Both engines' per-instance objectives and bounds, in document order.
+    for key in ["welfare", "upper_bound"] {
+        let b = numbers_for(base, key);
+        let f = numbers_for(fresh, key);
+        if b.len() != f.len() {
+            gate.fail(format!(
+                "{file}: `{key}` count changed ({} baseline vs {} fresh)",
+                b.len(),
+                f.len()
+            ));
+            continue;
+        }
+        for (i, (b, f)) in b.iter().zip(&f).enumerate() {
+            gate.checks += 1;
+            if (f - b).abs() > MILP_REL_DRIFT * (1.0 + b.abs()) {
+                gate.fail(format!(
+                    "{file}: `{key}`[{i}] drifted (baseline {b:.6}, fresh {f:.6})"
+                ));
+            }
+        }
+    }
+    for key in ["milp_nodes", "lp_solves", "simplex_pivots"] {
+        let b = numbers_for(base, key);
+        let f = numbers_for(fresh, key);
+        gate.checks += 1;
+        if b != f {
+            gate.warn(format!(
+                "{file}: solver work `{key}` changed ({b:?} -> {f:?})"
+            ));
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut fresh: Option<PathBuf> = None;
@@ -324,6 +368,13 @@ fn main() -> ExitCode {
     ) {
         (Some(b), Some(f)) => check_spot(&mut gate, &b, &f),
         _ => gate.fail("BENCH_spot.json missing on one side".to_owned()),
+    }
+    match (
+        read(&baseline, "BENCH_milp.json"),
+        read(&fresh, "BENCH_milp.json"),
+    ) {
+        (Some(b), Some(f)) => check_milp(&mut gate, &b, &f),
+        _ => gate.fail("BENCH_milp.json missing on one side".to_owned()),
     }
 
     for w in &gate.warnings {
@@ -470,5 +521,58 @@ mod tests {
         check_service(&mut gate, &base, &service_doc(50_000.0, 600.0));
         assert!(gate.failures.is_empty(), "{:?}", gate.failures);
         assert_eq!(gate.warnings.len(), 1, "{:?}", gate.warnings);
+    }
+
+    fn milp_doc(welfare: f64, bound: f64, nodes: u64) -> String {
+        format!(
+            r#"{{
+  "milp": {{"gap_tol": 1e-6}},
+  "instances": {{
+    "a": {{
+      "optimized": {{"welfare": {welfare:.6}, "upper_bound": {bound:.6}, "certified": false}},
+      "reference": {{"welfare": 120.000000, "upper_bound": 130.000000, "certified": false}},
+      "telemetry": {{"milp_nodes": {nodes}, "lp_solves": 30, "simplex_pivots": 40}}
+    }}
+  }}
+}}"#
+        )
+    }
+
+    #[test]
+    fn milp_gate_fails_on_objective_drift_and_warns_on_work_drift() {
+        let base = milp_doc(121.622713, 125.5, 10);
+        // Identical: clean pass.
+        let mut gate = Gate {
+            failures: Vec::new(),
+            warnings: Vec::new(),
+            checks: 0,
+            strict: false,
+        };
+        check_milp(&mut gate, &base, &milp_doc(121.622713, 125.5, 10));
+        assert!(gate.failures.is_empty(), "{:?}", gate.failures);
+        assert!(gate.warnings.is_empty(), "{:?}", gate.warnings);
+        // A welfare drift of 1e-5 relative and a bound drift are hard
+        // failures, one per value.
+        check_milp(&mut gate, &base, &milp_doc(121.624, 125.6, 10));
+        assert_eq!(gate.failures.len(), 2, "{:?}", gate.failures);
+        // Changed work counts are warn-only ...
+        let mut gate = Gate {
+            failures: Vec::new(),
+            warnings: Vec::new(),
+            checks: 0,
+            strict: false,
+        };
+        check_milp(&mut gate, &base, &milp_doc(121.622713, 125.5, 11));
+        assert!(gate.failures.is_empty(), "{:?}", gate.failures);
+        assert_eq!(gate.warnings.len(), 1, "{:?}", gate.warnings);
+        // ... unless strict.
+        let mut gate = Gate {
+            failures: Vec::new(),
+            warnings: Vec::new(),
+            checks: 0,
+            strict: true,
+        };
+        check_milp(&mut gate, &base, &milp_doc(121.622713, 125.5, 11));
+        assert_eq!(gate.failures.len(), 1, "{:?}", gate.failures);
     }
 }

@@ -308,20 +308,12 @@ pub fn fig12_competitive(scale: Scale) -> FigureTable {
         Scale::Quick => (
             vec![24usize, 36, 48],
             vec![("small", 0.25), ("medium", 0.4), ("high", 0.6)],
-            MilpConfig {
-                node_limit: 300,
-                time_limit_secs: 60.0,
-                ..MilpConfig::default()
-            },
+            MilpConfig { node_limit: 300 },
         ),
         Scale::Full => (
             vec![50usize, 100, 150],
             vec![("small", 0.4), ("medium", 0.7), ("high", 1.0)],
-            MilpConfig {
-                node_limit: 2000,
-                time_limit_secs: 600.0,
-                ..MilpConfig::default()
-            },
+            MilpConfig { node_limit: 2000 },
         ),
     };
     // Build the full instance grid up front, then hand it to the sweep

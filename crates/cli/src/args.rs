@@ -66,10 +66,9 @@ serve-sim options:
   --flight DIR     arm the per-shard flight recorder; crash dumps land
                    in DIR as flightrec-shard<k>.jsonl
 
-ratio options (offline branch-and-bound limits):
+ratio options (offline branch-and-bound limit; the result depends only
+on the scenario and N, never on host speed):
   --milp-nodes N   node budget for the offline solve   [default 300]
-  --milp-time S    wall-clock limit in seconds         [default 60]
-  --milp-wave W    nodes evaluated per parallel wave   [default 1]
 
 scenario persistence (simulate / compare / audit / ratio):
   --save FILE      write the generated scenario to FILE (text format)
@@ -151,24 +150,16 @@ impl Default for ServiceArgs {
     }
 }
 
-/// Limits for the offline branch-and-bound behind `ratio`.
+/// Limit for the offline branch-and-bound behind `ratio`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilpArgs {
     /// Node budget (`--milp-nodes`).
     pub nodes: usize,
-    /// Wall-clock limit in seconds (`--milp-time`).
-    pub time_secs: f64,
-    /// Nodes evaluated per parallel wave (`--milp-wave`).
-    pub wave: usize,
 }
 
 impl Default for MilpArgs {
     fn default() -> Self {
-        MilpArgs {
-            nodes: 300,
-            time_secs: 60.0,
-            wave: 1,
-        }
+        MilpArgs { nodes: 300 }
     }
 }
 
@@ -351,15 +342,6 @@ impl Cli {
                 "--milp-nodes" => {
                     milp.nodes = parse_num(value_for("--milp-nodes")?, "--milp-nodes")?;
                 }
-                "--milp-time" => {
-                    milp.time_secs = parse_num(value_for("--milp-time")?, "--milp-time")?;
-                }
-                "--milp-wave" => {
-                    milp.wave = parse_num(value_for("--milp-wave")?, "--milp-wave")?;
-                    if milp.wave == 0 {
-                        return Err(err("--milp-wave: must be at least 1"));
-                    }
-                }
                 "--mix" => {
                     scenario.mix = match value_for("--mix")?.as_str() {
                         "a100" => NodeMix::A100Only,
@@ -524,13 +506,13 @@ mod tests {
     fn milp_limits_parse_with_defaults() {
         let cli = parse("ratio").unwrap();
         assert_eq!(cli.milp, MilpArgs::default());
-        let cli = parse("ratio --milp-nodes 50 --milp-time 2.5 --milp-wave 4").unwrap();
+        let cli = parse("ratio --milp-nodes 50").unwrap();
         assert_eq!(cli.milp.nodes, 50);
-        assert_eq!(cli.milp.time_secs, 2.5);
-        assert_eq!(cli.milp.wave, 4);
         assert!(parse("ratio --milp-nodes").is_err());
         assert!(parse("ratio --milp-nodes banana").is_err());
-        assert!(parse("ratio --milp-wave 0").is_err());
+        // The node budget is the only limit: no wall clock, no waves.
+        assert!(parse("ratio --milp-time 1").is_err());
+        assert!(parse("ratio --milp-wave 2").is_err());
     }
 
     #[test]

@@ -934,9 +934,6 @@ fn audit(scenario: &Scenario) -> String {
 fn ratio(scenario: &Scenario, milp_args: &crate::args::MilpArgs) -> String {
     let milp = MilpConfig {
         node_limit: milp_args.nodes,
-        time_limit_secs: milp_args.time_secs,
-        wave: milp_args.wave,
-        ..MilpConfig::default()
     };
     let tel = Telemetry::disabled();
     let r = empirical_ratio_with_telemetry(scenario, &milp, &tel);

@@ -19,11 +19,12 @@
 //!   propagation, and MILP coefficient tightening, run before node LPs
 //!   are pivoted (branch rows fix binaries, so deep nodes shrink
 //!   dramatically);
-//! * [`milp`] — branch-and-bound over the LP relaxation: best-bound node
-//!   selection over wave-parallel node evaluation (deterministic by
-//!   construction), warm-started children, most-fractional branching,
-//!   node/gap limits, and incumbent extraction. Returns certified optima
-//!   on small instances and (incumbent, bound) pairs when limits bind;
+//! * [`milp`] — branch-and-bound over the LP relaxation: one sequential
+//!   best-bound search with warm-started children, most-fractional
+//!   branching, a node limit, a gap tolerance, and incumbent extraction.
+//!   It never reads the clock, so equal inputs give bit-identical
+//!   outcomes on any host. Returns certified optima on small instances
+//!   and (incumbent, bound) pairs when the node limit binds;
 //!   [`Milp::solve_reference`] keeps the seed-state sequential engine as
 //!   the oracle.
 //! * [`encode`] — encoders producing the paper's problem `P` (Eq. 4) as a
@@ -50,7 +51,7 @@ pub use offline::{
     offline_optimum, offline_optimum_reference, offline_optimum_with_telemetry, OfflineResult,
 };
 pub use presolve::{
-    presolve, propagate_bounds, solve_lp_presolved, solve_lp_presolved_dense, strengthen_milp,
-    PresolveOutcome, Presolved, VarBounds,
+    presolve, propagate_bounds, solve_lp_presolved_dense, strengthen_milp, PresolveOutcome,
+    Presolved, VarBounds,
 };
 pub use simplex::{solve_lp, Basis, BoundedSolver, SolveEnd, SolveStats, SolverSnapshot, SparseLp};

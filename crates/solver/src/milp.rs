@@ -8,23 +8,20 @@
 //!   (the parent's basis is factorized once, then each child is a
 //!   handful of dual-simplex pivots — see [`crate::simplex`]), eager
 //!   child evaluation (children enter the heap with their *own* LP
-//!   bounds, so hopeless subtrees never surface), an always-feasible
-//!   zero incumbent, and **wave-parallel** node evaluation: up to
-//!   [`MilpConfig::wave`] best-bound nodes are evaluated concurrently
-//!   via `pdftsp_cluster::parallel_map`. In deterministic mode (the
-//!   default) speculative results are applied strictly in best-bound pop
-//!   order, so any wave width reproduces the `wave = 1` incumbent/bound
-//!   trajectory bit for bit; non-deterministic mode applies every
-//!   speculated result immediately for throughput.
+//!   bounds, so hopeless subtrees never surface), and an always-feasible
+//!   zero incumbent. The search is one sequential loop: pop the
+//!   best-bound node, expand it, push its children.
 //! * [`Milp::solve_reference`] — the seed-state sequential engine over
 //!   the dense tableau ([`crate::dense`]), retained verbatim as the
 //!   equivalence oracle for tests and `bench_milp`.
 //!
 //! Both use best-bound node selection (ties broken deepest-first so
-//! incumbents are found early), most-fractional branching, node/time
-//! limits, and a certified-optimality flag: if any node could not be
-//! resolved or a limit was hit, the outcome degrades from
-//! [`MilpOutcome::Optimal`] to [`MilpOutcome::Feasible`] /
+//! incumbents are found early), most-fractional branching, a node limit
+//! ([`MilpConfig::node_limit`]) and the [`GAP_TOL`] optimality gap. No
+//! control decision reads the clock, so an outcome is a function of the
+//! problem and the node limit alone. A certified-optimality flag: if any
+//! node could not be resolved or the node limit was hit, the outcome
+//! degrades from [`MilpOutcome::Optimal`] to [`MilpOutcome::Feasible`] /
 //! [`MilpOutcome::BoundOnly`] with a valid upper bound — bounds are never
 //! under-stated, so competitive ratios computed from them are
 //! conservative.
@@ -32,11 +29,9 @@
 use crate::lp::{Constraint, LinearProgram, LpOutcome};
 use crate::presolve::{solve_lp_presolved_dense, strengthen_milp};
 use crate::simplex::{Basis, BoundedSolver, SolveEnd, SolveStats, SparseLp};
-use pdftsp_cluster::parallel_map;
 use pdftsp_telemetry::Telemetry;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// A maximize MILP: an LP plus integrality requirements.
 #[derive(Debug, Clone)]
@@ -55,37 +50,22 @@ pub struct Milp {
     pub branch_priority: Vec<usize>,
 }
 
-/// Search limits and tolerances.
+/// Integrality tolerance: a value within this of an integer is integral.
+pub const INT_TOL: f64 = 1e-6;
+
+/// Relative optimality gap at which search stops.
+pub const GAP_TOL: f64 = 1e-6;
+
+/// Search limit.
 #[derive(Debug, Clone, Copy)]
 pub struct MilpConfig {
     /// Maximum number of branch-and-bound nodes to process.
     pub node_limit: usize,
-    /// Wall-clock limit in seconds.
-    pub time_limit_secs: f64,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Relative optimality gap at which search stops.
-    pub gap_tol: f64,
-    /// Maximum nodes evaluated per parallel wave (1 = purely sequential).
-    pub wave: usize,
-    /// When `true` (the default), speculative wave results are applied
-    /// strictly in best-bound pop order, so the search trajectory —
-    /// incumbents, bounds, node counts — is identical for every `wave`
-    /// width. When `false`, every speculated node is applied as soon as
-    /// its wave completes (more progress per wave, trajectory may differ).
-    pub deterministic: bool,
 }
 
 impl Default for MilpConfig {
     fn default() -> Self {
-        MilpConfig {
-            node_limit: 10_000,
-            time_limit_secs: 30.0,
-            int_tol: 1e-6,
-            gap_tol: 1e-6,
-            wave: 1,
-            deterministic: true,
-        }
+        MilpConfig { node_limit: 10_000 }
     }
 }
 
@@ -170,9 +150,6 @@ struct SearchNode {
     /// Push sequence number: the final heap tie-break, making pop order a
     /// total (hence reproducible) order.
     seq: u64,
-    /// Speculative evaluation result, carried when a wave evaluated this
-    /// node but deterministic mode deferred its application.
-    cached: Option<ExpandResult>,
 }
 
 /// Heap wrapper: max on (bound, depth, FIFO seq).
@@ -224,7 +201,7 @@ enum ChildEval {
 }
 
 /// Result of expanding (branching) one node: both children evaluated,
-/// plus the LP work done. Pure data — safe to compute in a worker.
+/// plus the LP work done.
 #[derive(Debug)]
 struct ExpandResult {
     children: Vec<ChildEval>,
@@ -254,10 +231,10 @@ impl Milp {
     /// Picks the branching variable: the most fractional among
     /// `branch_priority`, falling back to the most fractional among all
     /// integer variables. `usize::MAX` when integral.
-    fn pick_branch_var(&self, x: &[f64], int_tol: f64) -> usize {
+    fn pick_branch_var(&self, x: &[f64]) -> usize {
         let most_fractional = |vars: &[usize]| {
             let mut var = usize::MAX;
-            let mut frac = int_tol;
+            let mut frac = INT_TOL;
             for &j in vars {
                 let f = (x[j] - x[j].round()).abs();
                 if f > frac {
@@ -292,12 +269,7 @@ impl Milp {
 
     /// Solves one child LP through the dense oracle (branch decisions
     /// materialized as rows), classifying the outcome.
-    fn dense_child(
-        &self,
-        work_lp: &LinearProgram,
-        branches: &[(u32, bool, f64)],
-        int_tol: f64,
-    ) -> ChildEval {
+    fn dense_child(&self, work_lp: &LinearProgram, branches: &[(u32, bool, f64)]) -> ChildEval {
         let mut lp = work_lp.clone();
         for &(var, upper, value) in branches {
             lp.constraints.push(if upper {
@@ -308,7 +280,7 @@ impl Milp {
         }
         match solve_lp_presolved_dense(&lp) {
             LpOutcome::Optimal { x, objective } => {
-                let integral = self.pick_branch_var(&x, int_tol) == usize::MAX;
+                let integral = self.pick_branch_var(&x) == usize::MAX;
                 let candidate = self.rounded_candidate(&x);
                 ChildEval::Solved {
                     branches: branches.to_vec(),
@@ -328,22 +300,15 @@ impl Milp {
     /// Expands one node: re-establishes its basis (one factorization),
     /// then solves both children by snapshot → bound tighten → dual-warm
     /// re-optimization → restore. Falls back to the dense oracle per
-    /// child on numerical trouble. Pure: no shared state is touched, so
-    /// waves of expansions run in parallel.
-    fn expand(
-        &self,
-        sp: &SparseLp,
-        work_lp: &LinearProgram,
-        node: &SearchNode,
-        int_tol: f64,
-    ) -> ExpandResult {
+    /// child on numerical trouble.
+    fn expand(&self, sp: &SparseLp, work_lp: &LinearProgram, node: &SearchNode) -> ExpandResult {
         let mut res = ExpandResult {
             children: Vec::with_capacity(2),
             stats: SolveStats::default(),
             lp_solves: 0,
             dense_fallbacks: 0,
         };
-        let var = self.pick_branch_var(&node.x, int_tol);
+        let var = self.pick_branch_var(&node.x);
         if var == usize::MAX {
             return res; // never pushed; guard for safety
         }
@@ -372,7 +337,7 @@ impl Milp {
                             let x = solver.extract_x();
                             if work_lp.feasible(&x, 1e-6) {
                                 let objective = work_lp.objective_value(&x);
-                                let integral = self.pick_branch_var(&x, int_tol) == usize::MAX;
+                                let integral = self.pick_branch_var(&x) == usize::MAX;
                                 let candidate = self.rounded_candidate(&x);
                                 res.children.push(ChildEval::Solved {
                                     branches: child_branches,
@@ -385,11 +350,8 @@ impl Milp {
                             } else {
                                 res.dense_fallbacks += 1;
                                 res.lp_solves += 1;
-                                res.children.push(self.dense_child(
-                                    work_lp,
-                                    &child_branches,
-                                    int_tol,
-                                ));
+                                res.children
+                                    .push(self.dense_child(work_lp, &child_branches));
                             }
                         }
                         SolveEnd::Infeasible => res.children.push(ChildEval::Infeasible),
@@ -398,7 +360,7 @@ impl Milp {
                             res.dense_fallbacks += 1;
                             res.lp_solves += 1;
                             res.children
-                                .push(self.dense_child(work_lp, &child_branches, int_tol));
+                                .push(self.dense_child(work_lp, &child_branches));
                         }
                     }
                 }
@@ -417,7 +379,7 @@ impl Milp {
                     res.dense_fallbacks += 1;
                     res.lp_solves += 1;
                     res.children
-                        .push(self.dense_child(work_lp, &child_branches, int_tol));
+                        .push(self.dense_child(work_lp, &child_branches));
                 }
             }
         }
@@ -451,7 +413,6 @@ impl Milp {
     /// The optimized engine body. See the module docs for the design.
     #[allow(clippy::too_many_lines)]
     fn solve_inner(&self, config: &MilpConfig, tally: &mut Tally) -> MilpOutcome {
-        let start = Instant::now();
         let n = self.lp.num_vars;
 
         // Always-feasible seed incumbent: the all-zero ("reject
@@ -548,7 +509,7 @@ impl Milp {
                 incumbent = Some((xi, obj_i));
             }
         }
-        let root_integral = self.pick_branch_var(&root_x, config.int_tol) == usize::MAX;
+        let root_integral = self.pick_branch_var(&root_x) == usize::MAX;
 
         // Warm greedy dive: repeatedly fix the most-fractional variable
         // to its rounded side and re-optimize on the live basis — each
@@ -559,7 +520,7 @@ impl Milp {
             let mut x = root_x.clone();
             let max_steps = self.integer_vars.len().min(40);
             for _ in 0..max_steps {
-                let var = self.pick_branch_var(&x, config.int_tol);
+                let var = self.pick_branch_var(&x);
                 if var == usize::MAX {
                     break;
                 }
@@ -599,104 +560,57 @@ impl Milp {
                 basis: root_basis,
                 depth: 0,
                 seq,
-                cached: None,
             }));
             seq += 1;
         }
 
-        let wave = config.wave.max(1);
         let mut nodes = 0usize;
-        while let Some(HeapEntry(top)) = heap.pop() {
-            if nodes >= config.node_limit || start.elapsed().as_secs_f64() > config.time_limit_secs
-            {
+        while let Some(HeapEntry(node)) = heap.pop() {
+            if nodes >= config.node_limit {
                 // The popped node's bound still counts toward the gap.
-                heap.push(HeapEntry(top));
+                heap.push(HeapEntry(node));
                 exact = false;
                 break;
             }
             nodes += 1;
-            if pruned(&incumbent, top.objective, config.gap_tol) {
+            if pruned(&incumbent, node.objective) {
                 continue;
             }
-
-            // Assemble the wave: `top` plus up to `wave − 1` speculative
-            // best-bound nodes, then evaluate every uncached one in
-            // parallel. Expansion is a pure function of the node, so when
-            // a speculated node is finally applied (now, or after being
-            // re-pushed in deterministic mode) the result is identical to
-            // what a sequential solve would have computed.
-            let mut batch: Vec<SearchNode> = vec![top];
-            while batch.len() < wave {
-                match heap.pop() {
-                    Some(HeapEntry(nd)) => batch.push(nd),
-                    None => break,
-                }
-            }
-            let need: Vec<usize> = (0..batch.len())
-                .filter(|&i| batch[i].cached.is_none())
-                .collect();
-            if !need.is_empty() {
-                let results = parallel_map(&need, |&i| {
-                    self.expand(&sp, &work_lp, &batch[i], config.int_tol)
-                });
-                for (&i, r) in need.iter().zip(results) {
-                    batch[i].cached = Some(r);
-                }
-            }
-
-            let mut first = true;
-            for mut node in batch {
-                if first {
-                    first = false;
-                } else if config.deterministic {
-                    // Defer: re-enter the heap with the evaluation cached.
-                    heap.push(HeapEntry(node));
-                    continue;
-                } else {
-                    nodes += 1;
-                    if pruned(&incumbent, node.objective, config.gap_tol) {
-                        continue;
-                    }
-                }
-                let Some(res) = node.cached.take() else {
-                    continue;
-                };
-                tally.nodes_expanded += 1;
-                tally.merge_stats(res.stats);
-                tally.lp_solves += res.lp_solves;
-                tally.dense_fallbacks += res.dense_fallbacks;
-                for child in res.children {
-                    match child {
-                        ChildEval::Infeasible => {}
-                        ChildEval::Unbounded => return MilpOutcome::Unbounded,
-                        ChildEval::Unresolved => exact = false,
-                        ChildEval::Solved {
+            let res = self.expand(&sp, &work_lp, &node);
+            tally.nodes_expanded += 1;
+            tally.merge_stats(res.stats);
+            tally.lp_solves += res.lp_solves;
+            tally.dense_fallbacks += res.dense_fallbacks;
+            for child in res.children {
+                match child {
+                    ChildEval::Infeasible => {}
+                    ChildEval::Unbounded => return MilpOutcome::Unbounded,
+                    ChildEval::Unresolved => exact = false,
+                    ChildEval::Solved {
+                        branches,
+                        x,
+                        objective,
+                        basis,
+                        candidate,
+                        integral,
+                    } => {
+                        if let Some((xi, obj_i)) = candidate {
+                            if incumbent.as_ref().is_none_or(|(_, inc)| obj_i > *inc) {
+                                incumbent = Some((xi, obj_i));
+                            }
+                        }
+                        if integral || pruned(&incumbent, objective) {
+                            continue;
+                        }
+                        heap.push(HeapEntry(SearchNode {
                             branches,
                             x,
                             objective,
                             basis,
-                            candidate,
-                            integral,
-                        } => {
-                            if let Some((xi, obj_i)) = candidate {
-                                if incumbent.as_ref().is_none_or(|(_, inc)| obj_i > *inc) {
-                                    incumbent = Some((xi, obj_i));
-                                }
-                            }
-                            if integral || pruned(&incumbent, objective, config.gap_tol) {
-                                continue;
-                            }
-                            heap.push(HeapEntry(SearchNode {
-                                branches,
-                                x,
-                                objective,
-                                basis,
-                                depth: node.depth + 1,
-                                seq,
-                                cached: None,
-                            }));
-                            seq += 1;
-                        }
+                            depth: node.depth + 1,
+                            seq,
+                        }));
+                        seq += 1;
                     }
                 }
             }
@@ -710,8 +624,7 @@ impl Milp {
         match incumbent {
             Some((x, objective)) => {
                 let bound = open_bound.max(objective);
-                let closed =
-                    heap.is_empty() || bound <= objective + gap_slack(objective, config.gap_tol);
+                let closed = heap.is_empty() || bound <= objective + gap_slack(objective);
                 if exact && closed {
                     MilpOutcome::Optimal { x, objective }
                 } else {
@@ -737,7 +650,7 @@ impl Milp {
 
     /// Greedy dive of the reference engine: repeatedly solve the LP and
     /// fix the most-fractional integer variable to its rounded value.
-    fn dive_reference(&self, config: &MilpConfig) -> Option<(Vec<f64>, f64)> {
+    fn dive_reference(&self) -> Option<(Vec<f64>, f64)> {
         let mut lp = self.lp.clone();
         let mut best: Option<(Vec<f64>, f64)> = None;
         // Each dive step is an LP solve; cap the depth so diving stays a
@@ -754,7 +667,7 @@ impl Milp {
                 }
             }
             // Most fractional variable, priority vars first.
-            let var = self.pick_branch_var(&x, config.int_tol);
+            let var = self.pick_branch_var(&x);
             if var == usize::MAX {
                 // Integral already; `rounded_candidate` above recorded it.
                 break;
@@ -771,11 +684,9 @@ impl Milp {
 
     /// The seed-state sequential branch-and-bound over the dense tableau,
     /// retained verbatim as the equivalence oracle for `bench_milp` and
-    /// the differential test suite. Ignores `wave`/`deterministic`.
+    /// the differential test suite.
     #[must_use]
     pub fn solve_reference(&self, config: &MilpConfig) -> MilpOutcome {
-        let start = Instant::now();
-
         // Root relaxation.
         let root = match crate::dense::solve_lp_dense(&self.lp) {
             LpOutcome::Optimal { x, objective } => (x, objective),
@@ -791,7 +702,7 @@ impl Milp {
         let mut incumbent: Option<(Vec<f64>, f64)> = self.rounded_candidate(&root.0);
         drop(root.0);
         // Dive for a strong initial incumbent before best-bound search.
-        if let Some((xd, od)) = self.dive_reference(config) {
+        if let Some((xd, od)) = self.dive_reference() {
             if incumbent.as_ref().is_none_or(|(_, b)| od > *b) {
                 incumbent = Some((xd, od));
             }
@@ -808,8 +719,7 @@ impl Milp {
 
         let mut nodes = 0usize;
         while let Some(RefHeapEntry { node }) = heap.pop() {
-            if nodes >= config.node_limit || start.elapsed().as_secs_f64() > config.time_limit_secs
-            {
+            if nodes >= config.node_limit {
                 // The popped node's bound still counts toward the gap.
                 heap.push(RefHeapEntry { node });
                 exact = false;
@@ -818,7 +728,7 @@ impl Milp {
             nodes += 1;
 
             if let Some((_, inc)) = &incumbent {
-                if node.bound <= inc + gap_slack(*inc, config.gap_tol) {
+                if node.bound <= inc + gap_slack(*inc) {
                     continue;
                 }
             }
@@ -842,7 +752,7 @@ impl Milp {
                 }
             };
             if let Some((_, inc)) = &incumbent {
-                if obj <= inc + gap_slack(*inc, config.gap_tol) {
+                if obj <= inc + gap_slack(*inc) {
                     continue;
                 }
             }
@@ -855,7 +765,7 @@ impl Milp {
             }
 
             // Most-fractional integer variable, priority vars first.
-            let branch_var = self.pick_branch_var(&x, config.int_tol);
+            let branch_var = self.pick_branch_var(&x);
 
             if branch_var == usize::MAX {
                 // Integral: candidate incumbent.
@@ -892,8 +802,7 @@ impl Milp {
         match incumbent {
             Some((x, objective)) => {
                 let bound = open_bound.max(objective);
-                let closed =
-                    heap.is_empty() || bound <= objective + gap_slack(objective, config.gap_tol);
+                let closed = heap.is_empty() || bound <= objective + gap_slack(objective);
                 if exact && closed {
                     MilpOutcome::Optimal { x, objective }
                 } else {
@@ -928,14 +837,14 @@ fn apply_branch(s: &mut BoundedSolver<'_>, var: u32, upper: bool, value: f64) {
 }
 
 /// Whether a node bound is discharged by the current incumbent.
-fn pruned(incumbent: &Option<(Vec<f64>, f64)>, bound: f64, gap_tol: f64) -> bool {
+fn pruned(incumbent: &Option<(Vec<f64>, f64)>, bound: f64) -> bool {
     incumbent
         .as_ref()
-        .is_some_and(|(_, inc)| bound <= inc + gap_slack(*inc, gap_tol))
+        .is_some_and(|(_, inc)| bound <= inc + gap_slack(*inc))
 }
 
-fn gap_slack(incumbent: f64, gap_tol: f64) -> f64 {
-    gap_tol * (1.0 + incumbent.abs())
+fn gap_slack(incumbent: f64) -> f64 {
+    GAP_TOL * (1.0 + incumbent.abs())
 }
 
 /// One open node of the reference engine: branching decisions stacked on
@@ -1113,10 +1022,7 @@ mod tests {
         let v = vec![3.0, 7.0, 2.0, 9.0, 5.0, 4.0, 8.0, 6.0];
         let w = vec![2.0, 3.0, 1.0, 5.0, 4.0, 2.0, 6.0, 3.0];
         let m = knapsack(&v, &w, 10.0);
-        let cfg = MilpConfig {
-            node_limit: 2,
-            ..MilpConfig::default()
-        };
+        let cfg = MilpConfig { node_limit: 2 };
         let out = m.solve(&cfg);
         let exact = brute_knapsack(&v, &w, 10.0);
         match out {
@@ -1201,82 +1107,12 @@ mod tests {
             let m = knapsack(&v, &w, cap);
             let fast = m.solve(&cfg).objective().unwrap();
             let oracle = m.solve_reference(&cfg).objective().unwrap();
-            let slack = gap_slack(oracle, cfg.gap_tol);
+            let slack = gap_slack(oracle);
             assert!(
                 (fast - oracle).abs() <= slack,
                 "optimized {fast} vs reference {oracle}"
             );
         }
-    }
-
-    #[test]
-    fn deterministic_wave_reproduces_sequential_outcome_bitwise() {
-        let mut state = 0xC0FF_EE00_D00D_0001u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for _case in 0..10 {
-            let n = 7 + (next() * 5.0) as usize;
-            let v: Vec<f64> = (0..n).map(|_| 1.0 + next() * 9.0).collect();
-            let w: Vec<f64> = (0..n).map(|_| 1.0 + next() * 5.0).collect();
-            let cap = w.iter().sum::<f64>() * 0.4;
-            let m = knapsack(&v, &w, cap);
-            let seq_cfg = MilpConfig {
-                wave: 1,
-                ..MilpConfig::default()
-            };
-            let par_cfg = MilpConfig {
-                wave: 4,
-                deterministic: true,
-                ..MilpConfig::default()
-            };
-            let a = m.solve(&seq_cfg);
-            let b = m.solve(&par_cfg);
-            // Bit-for-bit: identical variant, solution, and objective.
-            assert_eq!(a, b, "wave=4 deterministic diverged from wave=1");
-        }
-    }
-
-    #[test]
-    fn deterministic_wave_matches_under_node_limits_too() {
-        let v = vec![3.0, 7.0, 2.0, 9.0, 5.0, 4.0, 8.0, 6.0, 5.5, 2.5];
-        let w = vec![2.0, 3.0, 1.0, 5.0, 4.0, 2.0, 6.0, 3.0, 2.0, 1.0];
-        let m = knapsack(&v, &w, 12.0);
-        for limit in [1, 3, 7, 1000] {
-            let a = m.solve(&MilpConfig {
-                node_limit: limit,
-                wave: 1,
-                ..MilpConfig::default()
-            });
-            let b = m.solve(&MilpConfig {
-                node_limit: limit,
-                wave: 8,
-                deterministic: true,
-                ..MilpConfig::default()
-            });
-            assert_eq!(a, b, "node_limit {limit}");
-        }
-    }
-
-    #[test]
-    fn non_deterministic_wave_still_within_gap() {
-        let v = vec![3.0, 7.0, 2.0, 9.0, 5.0, 4.0, 8.0, 6.0];
-        let w = vec![2.0, 3.0, 1.0, 5.0, 4.0, 2.0, 6.0, 3.0];
-        let m = knapsack(&v, &w, 10.0);
-        let cfg = MilpConfig {
-            wave: 4,
-            deterministic: false,
-            ..MilpConfig::default()
-        };
-        let out = m.solve(&cfg);
-        let exact = brute_knapsack(&v, &w, 10.0);
-        assert!(
-            (out.objective().unwrap() - exact).abs() <= gap_slack(exact, cfg.gap_tol),
-            "{out:?} vs exact {exact}"
-        );
     }
 
     #[test]
@@ -1286,10 +1122,7 @@ mod tests {
         let v = vec![3.0, 7.0, 2.0];
         let w = vec![2.0, 3.0, 1.0];
         let m = knapsack(&v, &w, 4.0);
-        let out = m.solve(&MilpConfig {
-            node_limit: 0,
-            ..MilpConfig::default()
-        });
+        let out = m.solve(&MilpConfig { node_limit: 0 });
         match out {
             MilpOutcome::Optimal { objective, .. } | MilpOutcome::Feasible { objective, .. } => {
                 assert!(objective >= 0.0, "incumbent objective {objective}");

@@ -161,24 +161,6 @@ pub fn presolve(lp: &LinearProgram) -> PresolveOutcome {
     })
 }
 
-/// Presolve + simplex in one call: the drop-in replacement for
-/// [`solve_lp`](crate::simplex::solve_lp) used on branch-and-bound node
-/// LPs, returning solutions in the *original* variable space.
-#[must_use]
-pub fn solve_lp_presolved(lp: &LinearProgram) -> crate::lp::LpOutcome {
-    use crate::lp::LpOutcome;
-    match presolve(lp) {
-        PresolveOutcome::Infeasible => LpOutcome::Infeasible,
-        PresolveOutcome::Reduced(p) => match crate::simplex::solve_lp(&p.lp) {
-            LpOutcome::Optimal { x, objective } => LpOutcome::Optimal {
-                x: p.restore(&x),
-                objective: objective + p.objective_offset,
-            },
-            other => other,
-        },
-    }
-}
-
 /// Presolve + the **dense** reference simplex: the seed-state node-LP
 /// pipeline, kept bit-compatible for [`crate::milp::Milp::solve_reference`]
 /// and as the fallback when the sparse path reports numerical trouble.

@@ -375,14 +375,6 @@ impl<'a> BoundedSolver<'a> {
         }
     }
 
-    /// Resets the effective bounds to the base problem's.
-    pub fn reset_bounds(&mut self) {
-        self.lb[..self.sp.n].copy_from_slice(&self.sp.lb);
-        self.ub[..self.sp.n].copy_from_slice(&self.sp.ub);
-        self.lb[self.sp.n..].copy_from_slice(&self.sp.slack_lb);
-        self.ub[self.sp.n..].copy_from_slice(&self.sp.slack_ub);
-    }
-
     /// Intersects variable `var`'s effective bounds with `[lo, hi]`.
     pub fn tighten_bound(&mut self, var: usize, lo: f64, hi: f64) {
         self.lb[var] = self.lb[var].max(lo);

@@ -16,7 +16,7 @@ use pdftsp_lora::paradigm::TuningParadigm;
 use pdftsp_lora::transformer::TransformerConfig;
 use pdftsp_types::{GpuModel, NodeSpec, Scenario};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// GPU composition of the cluster (paper Fig. 6: A100 / A40 / hybrid).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,11 +242,6 @@ impl ScenarioBuilder {
             seed,
         }
     }
-}
-
-/// Draws a value in `[lo, hi)` — tiny helper for jittered presets.
-pub fn jitter<R: Rng>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    rng.gen_range(lo..hi)
 }
 
 #[cfg(test)]

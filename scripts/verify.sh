@@ -5,6 +5,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> solver reads no clock (outcomes depend on the node budget alone)"
+if grep -rnE "Instant|SystemTime|std::time" crates/solver/src; then
+    echo "crates/solver/src must not read the wall clock" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -62,11 +62,7 @@ fn offline_decisions_replay_cleanly() {
 
 #[test]
 fn empirical_ratio_is_sane_across_small_grid() {
-    let milp = MilpConfig {
-        node_limit: 200,
-        time_limit_secs: 30.0,
-        ..MilpConfig::default()
-    };
+    let milp = MilpConfig { node_limit: 200 };
     for (horizon, mean) in [(12usize, 0.3), (16, 0.4)] {
         let sc = tiny(7, horizon, mean);
         let r = empirical_ratio(&sc, &milp);
@@ -89,21 +85,8 @@ fn empirical_ratio_is_sane_across_small_grid() {
 #[test]
 fn offline_optimum_improves_with_more_search_budget() {
     let sc = tiny(9, 20, 0.6);
-    let tight = offline_optimum(
-        &sc,
-        &MilpConfig {
-            node_limit: 1,
-            ..MilpConfig::default()
-        },
-    );
-    let loose = offline_optimum(
-        &sc,
-        &MilpConfig {
-            node_limit: 400,
-            time_limit_secs: 60.0,
-            ..MilpConfig::default()
-        },
-    );
+    let tight = offline_optimum(&sc, &MilpConfig { node_limit: 1 });
+    let loose = offline_optimum(&sc, &MilpConfig { node_limit: 400 });
     let wt = tight.welfare.unwrap_or(0.0);
     let wl = loose.welfare.unwrap_or(0.0);
     assert!(wl >= wt - 1e-9, "more budget lost welfare: {wt} -> {wl}");
@@ -114,14 +97,7 @@ fn offline_optimum_improves_with_more_search_budget() {
 #[test]
 fn all_baselines_are_bounded_by_the_offline_optimum_too() {
     let sc = tiny(11, 16, 0.4);
-    let off = offline_optimum(
-        &sc,
-        &MilpConfig {
-            node_limit: 400,
-            time_limit_secs: 60.0,
-            ..MilpConfig::default()
-        },
-    );
+    let off = offline_optimum(&sc, &MilpConfig { node_limit: 400 });
     for algo in Algo::PAPER_SET {
         let w = run_algo(&sc, algo, 0).welfare.social_welfare;
         assert!(

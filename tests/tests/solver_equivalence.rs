@@ -1,16 +1,18 @@
 //! Solver equivalence suite: the overhauled sparse warm-started
-//! simplex / wave-parallel branch-and-bound against the retained dense
+//! simplex / sequential branch-and-bound against the retained dense
 //! reference engine, on both synthetic programs and real offline
 //! encodings. CI runs this in release mode (see `.github/workflows/
 //! ci.yml`) — it is the machine-checked half of the `BENCH_milp.json`
 //! speedup claim: fast means nothing if the answers drift.
 
-use pdftsp_solver::milp::{MilpConfig, MilpOutcome};
+use pdftsp_cluster::parallel_map;
+use pdftsp_solver::milp::{MilpConfig, MilpOutcome, GAP_TOL};
 use pdftsp_solver::offline::{offline_optimum, offline_optimum_reference};
 use pdftsp_solver::{
     encode_offline, presolve, propagate_bounds, solve_lp, solve_lp_dense, strengthen_milp,
     Constraint, LinearProgram, LpOutcome, PresolveOutcome,
 };
+use pdftsp_telemetry::Telemetry;
 use pdftsp_types::Scenario;
 use pdftsp_workload::{ArrivalProcess, ScenarioBuilder};
 use rand::rngs::StdRng;
@@ -101,12 +103,8 @@ fn sparse_simplex_matches_dense_on_offline_relaxations() {
 #[test]
 fn optimized_milp_matches_reference_on_offline_encodings() {
     // Generous limits: both engines certify, so objectives must agree
-    // within gap_tol — the bench_milp acceptance criterion as a test.
-    let cfg = MilpConfig {
-        node_limit: 20_000,
-        time_limit_secs: 30.0,
-        ..MilpConfig::default()
-    };
+    // within GAP_TOL — the bench_milp acceptance criterion as a test.
+    let cfg = MilpConfig { node_limit: 20_000 };
     for seed in [3u64, 21, 33, 35] {
         let sc = tiny(seed, 10, 0.5);
         let fast = offline_optimum(&sc, &cfg);
@@ -115,33 +113,41 @@ fn optimized_milp_matches_reference_on_offline_encodings() {
         assert!(oracle.certified, "seed {seed}: reference did not certify");
         let (a, b) = (fast.welfare.unwrap(), oracle.welfare.unwrap());
         assert!(
-            (a - b).abs() <= cfg.gap_tol * (1.0 + b.abs()),
+            (a - b).abs() <= GAP_TOL * (1.0 + b.abs()),
             "seed {seed}: optimized {a} vs reference {b}"
         );
     }
 }
 
 #[test]
-fn deterministic_wave_reproduces_sequential_trajectory_bitwise() {
-    // The acceptance criterion: any wave width in deterministic mode
-    // replays the wave=1 search — identical outcome, bit for bit.
+fn node_budget_alone_stops_the_search() {
+    // The node limit is the only stopping rule besides the gap: no clock
+    // is read, so a repeat solve and a solve on a pool worker replay the
+    // first bit for bit, on any host and in any build profile.
     for seed in [5u64, 17, 29] {
         let enc = encode_offline(&tiny(seed, 10, 0.5));
-        for node_limit in [4usize, 32, 20_000] {
-            let seq = enc.milp.solve(&MilpConfig {
-                node_limit,
-                wave: 1,
-                ..MilpConfig::default()
-            });
-            for wave in [2usize, 4, 8] {
-                let par = enc.milp.solve(&MilpConfig {
-                    node_limit,
-                    wave,
-                    ..MilpConfig::default()
-                });
+        for node_limit in [4usize, 32, 2_000] {
+            let cfg = MilpConfig { node_limit };
+            let solve = || {
+                let tel = Telemetry::disabled();
+                let out = enc.milp.solve_with_telemetry(&cfg, &tel);
+                let nodes = tel.counters.read(&tel.counters.milp_nodes);
+                (out, nodes)
+            };
+            let (first, nodes) = solve();
+            assert!(
+                nodes <= node_limit as u64,
+                "seed {seed}: {nodes} nodes expanded under a limit of {node_limit}"
+            );
+            assert_eq!(
+                first,
+                solve().0,
+                "seed {seed} node_limit {node_limit}: repeat diverged"
+            );
+            for (pooled, _) in parallel_map(&[0u8, 1], |_| solve()) {
                 assert_eq!(
-                    seq, par,
-                    "seed {seed} node_limit {node_limit} wave {wave}: trajectory diverged"
+                    first, pooled,
+                    "seed {seed} node_limit {node_limit}: pooled solve diverged"
                 );
             }
         }
@@ -218,15 +224,8 @@ fn bound_only_outcomes_still_bound_the_reference_optimum() {
     // Under a starved node budget the optimized engine may stop at the
     // all-reject incumbent; its reported bound must still dominate the
     // reference engine's certified optimum.
-    let cfg_starved = MilpConfig {
-        node_limit: 1,
-        ..MilpConfig::default()
-    };
-    let cfg_full = MilpConfig {
-        node_limit: 20_000,
-        time_limit_secs: 30.0,
-        ..MilpConfig::default()
-    };
+    let cfg_starved = MilpConfig { node_limit: 1 };
+    let cfg_full = MilpConfig { node_limit: 20_000 };
     for seed in [7u64, 23] {
         let sc = tiny(seed, 10, 0.5);
         let starved = offline_optimum(&sc, &cfg_starved);
@@ -245,7 +244,7 @@ fn bound_only_outcomes_still_bound_the_reference_optimum() {
 }
 
 #[test]
-fn wave_config_is_exposed_through_outcome_equality() {
+fn distinct_outcomes_compare_unequal() {
     // MilpOutcome derives PartialEq so the bitwise assertions above are
     // meaningful; sanity-check that distinct outcomes do compare unequal.
     let a = MilpOutcome::BoundOnly { bound: 1.0 };
